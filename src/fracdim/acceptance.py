@@ -24,7 +24,7 @@ from .higuchi import ceil_half, curve_lengths, fit_lengths, hfd, variation_sum
 from .series import TimeSeries, sample
 from .signals import Affine, Alternating, Constant, Oscillation, PeriodicInterp, Weierstrass, as_callable
 from .stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS, perturbed_length_closed_form, stability_report
-from .variation import Partition, variation_convergence_check, variation_over_partition
+from .variation import Partition, total_variation_estimate, variation_convergence_check, variation_over_partition
 
 GOLDEN_ENV_VAR = "FRACDIM_GOLDEN_DIR"
 GOLDEN_TOL = 1e-9
@@ -206,6 +206,7 @@ def claim_8() -> List[CheckResult]:
         _row(8, "alternating series: perturbed slope", "2.7 +- 0.15", f"{pert:.6f}", "0.15", abs(pert - 2.7) <= 0.15),
         _row(8, "alternating series: perturbed slope exceeds the ceiling 2", "> 2", f"{pert:.6f}", "-", pert > 2.0),
         _golden_row(8, "perturbed slope matches frozen calibration", ("alternating", "perturbed_d"), pert),
+        _golden_row(8, "unperturbed slope matches frozen calibration", ("alternating", "base_d"), report.base.slope),
     ]
 
 
@@ -276,6 +277,7 @@ def claim_12() -> List[CheckResult]:
     rel_diffs = [abs(b - a) / abs(b) for a, b in zip(values, values[1:])]
     monotone = all(x > y for x, y in zip(rel_diffs, rel_diffs[1:]))
     elapsed = time.perf_counter() - start
+    tv = total_variation_estimate(spec, levels=12).estimate
     return [
         _dev_row(12, "partition sum = increment sum + endpoint term (worst absolute)", worst, 1e-12),
         _row(
@@ -288,6 +290,7 @@ def claim_12() -> List[CheckResult]:
         ),
         _dev_row(12, "final relative step change near N = 1e5", rel_diffs[-1], 1e-3),
         _budget_row(12, "runtime budget", elapsed, 10.0),
+        _golden_row(12, "12-level variation trace matches frozen calibration", ("oscillation_tv_levels12",), tv),
     ]
 
 

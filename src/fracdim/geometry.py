@@ -9,7 +9,11 @@ graph meets all intermediate rows.
 The same increment sums that drive the dimension estimator can be read as
 mesh-area approximations at scale k/(N-1); regressing their logs against
 log(k/(N-1)) and subtracting the slope from 2 reproduces the estimator
-exactly, which :func:`geometric_hfd` implements.
+exactly, which :func:`geometric_hfd` implements.  The areas are averaged
+from the estimator's own (k, m, q, C, V) table in :mod:`fracdim.higuchi`,
+with the same fixed summation order (sequential column ``cumsum`` for V,
+Python ``sum`` over ascending m), so lengths and areas share every V bit for
+bit and a non-finite area raises :class:`DomainError` as a length does.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .higuchi import check_admissible, regression_slope, variation_sum
+from .higuchi import _stride_averages, regression_slope
 from .series import TimeSeries
 from .signals import as_callable
 
@@ -151,19 +155,7 @@ def tilde_lengths(ts: TimeSeries, k_max: int) -> np.ndarray:
     entry k equals (k**2/(N-1)) * L(k) identically.
     """
     n = ts.n
-    check_admissible(n, k_max)
-    out = np.zeros(k_max)
-    for k in range(1, k_max + 1):
-        terms = []
-        for m in range(1, k + 1):
-            q = (n - m) // k
-            if q < 1:
-                continue
-            v = variation_sum(ts, k, m)
-            c = (n - 1) / (q * k)
-            terms.append((k / (n - 1)) * c * v)
-        out[k - 1] = sum(terms) / len(terms) if terms else 0.0
-    return out
+    return _stride_averages(ts, k_max, lambda k, c, v: (k / (n - 1)) * c * v, "area")
 
 
 def geometric_hfd(ts: TimeSeries, k_max: int) -> float:

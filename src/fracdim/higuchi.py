@@ -9,7 +9,18 @@ both as the summation bound and inside the normalization constant
 (N-1)/(q*k): a ceiling bound would address samples beyond X(N) whenever k
 does not divide N-m.  When k | (N-m) floor and ceiling agree.  Offsets with
 q = 0 (possible at k = ceil(N/2) for odd N) are excluded from the per-k
-average; if no offset survives, L(k) = 0.
+average; offset m = 1 always has an increment at admissible sizes.
+
+The lengths here and the mesh areas of :mod:`fracdim.geometry` are averaged
+by :func:`_stride_averages` from one (k, m, q, C, V) table, built one stride
+at a time by :func:`_stride_table`.  Its summation order is fixed, because
+the exact zero test on L(k) and the frozen golden values depend on every
+bit: each V(k, m) is a sequential column ``cumsum`` over i = 1..q, the order
+of :func:`variation_sum`, and each per-stride average is the Python ``sum``
+of the terms in ascending m.  From Python 3.12 on ``sum`` of floats is
+compensated, so no numpy reduction could stand in for it on every supported
+interpreter.  A non-finite length or area, which finite values reach only
+through overflow, raises :class:`DomainError` naming the stride.
 """
 from __future__ import annotations
 
@@ -94,35 +105,61 @@ class DetailRow(NamedTuple):
     length: float
 
 
-def _length_table(ts: TimeSeries, k_max: int, want_detail: bool):
-    n = ts.n
-    check_admissible(n, k_max)
-    lengths = np.zeros(k_max)
-    detail = [] if want_detail else None
-    for k in range(1, k_max + 1):
-        terms = []
-        for m in range(1, k + 1):
-            q = (n - m) // k
-            if q < 1:
-                continue
-            v = variation_sum(ts, k, m)
-            c = (n - 1) / (q * k)
-            length_m = c * v / k
-            terms.append(length_m)
-            if want_detail:
-                detail.append(DetailRow(k, m, c, v, length_m))
-        lengths[k - 1] = sum(terms) / len(terms) if terms else 0.0
-    return lengths, detail
+def _stride_table(values: np.ndarray, k: int):
+    """(m, C, V) arrays over the offsets m of stride k with q >= 1 increments.
+
+    Row i of ``d[:full*k].reshape(full, k)`` holds increment i+1 of every
+    offset, so the column ``cumsum`` adds each V(k, m) in ascending i; the
+    last, partial row belongs to the first offsets only.
+    """
+    n = values.size
+    d = np.abs(values[k:] - values[:-k])
+    full = d.size // k
+    v = np.cumsum(d[: full * k].reshape(full, k), axis=0)[-1] if full else np.zeros(k)
+    rest = d[full * k :]
+    v[: rest.size] += rest
+    m = np.arange(1, k + 1)
+    q = (n - m) // k
+    keep = q >= 1
+    return m[keep], (n - 1) / (q[keep] * k), v[keep]
+
+
+def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None) -> np.ndarray:
+    """Per-stride averages of ``term(k, C, V)`` over the offsets with an
+    increment, k = 1..k_max; each (k, m) row is appended to ``rows`` when
+    given.  ``what`` names the averaged quantity in the DomainError raised
+    for a non-finite average."""
+    check_admissible(ts.n, k_max)
+    out = np.zeros(k_max)
+    with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
+        for k in range(1, k_max + 1):
+            m, c, v = _stride_table(ts.values, k)
+            terms = term(k, c, v)
+            mean = sum(terms.tolist()) / terms.size
+            if not math.isfinite(mean):
+                raise DomainError(
+                    f"the {what} at stride k={k} is not finite: the series overflows in floating point"
+                )
+            out[k - 1] = mean
+            if rows is not None:
+                rows.extend(
+                    DetailRow(k, *row)
+                    for row in zip(m.tolist(), c.tolist(), v.tolist(), terms.tolist())
+                )
+    return out
+
+
+def _length_terms(k: int, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return c * v / k
 
 
 def curve_lengths(ts: TimeSeries, k_max: int) -> np.ndarray:
     """Per-stride lengths L(1..k_max).
 
     L(k) averages the normalized increment sums (1/k) * C * V over the
-    offsets m with at least one increment; it is 0 when no offset has one.
+    offsets m with at least one increment; it is 0 when every such sum is.
     """
-    lengths, _ = _length_table(ts, k_max, want_detail=False)
-    return lengths
+    return _stride_averages(ts, k_max, _length_terms, "length")
 
 
 def regression_slope(points) -> Tuple[float, float]:
@@ -212,7 +249,8 @@ def hfd(ts: TimeSeries, k_max: int, detail: bool = False) -> HfdResult:
     detail : bool
         Keep the per-(k, m) table of constants, increment sums and lengths.
     """
-    lengths, rows = _length_table(ts, k_max, want_detail=detail)
+    rows = [] if detail else None
+    lengths = _stride_averages(ts, k_max, _length_terms, "length", rows)
     slope, intercept, index_set, points = fit_lengths(lengths)
     return HfdResult(
         n=ts.n,

@@ -1,0 +1,196 @@
+"""The (k, m) length table against the estimator's first, loop-based form.
+
+The oracle below is the original double loop over strides and offsets, one
+``variation_sum`` call per (k, m) and a Python ``sum`` per stride.  The table
+in :mod:`fracdim.higuchi` must reproduce it bit for bit: the exact zero test
+on L(k) and the frozen golden values leave no room for rounding changes.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from fracdim import (
+    Affine,
+    Alternating,
+    Constant,
+    PeriodicInterp,
+    TimeSeries,
+    Weierstrass,
+    check_admissible,
+    curve_lengths,
+    fit_lengths,
+    geometric_hfd,
+    hfd,
+    perturb,
+    regression_slope,
+    sample,
+    stability_report,
+    tilde_lengths,
+    variation_sum,
+)
+from fracdim.cli import main
+from fracdim.errors import DomainError
+from fracdim.higuchi import DetailRow, ceil_half
+from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS
+
+
+def oracle_length_table(ts, k_max, want_detail):
+    n = ts.n
+    check_admissible(n, k_max)
+    lengths = np.zeros(k_max)
+    detail = [] if want_detail else None
+    for k in range(1, k_max + 1):
+        terms = []
+        for m in range(1, k + 1):
+            q = (n - m) // k
+            if q < 1:
+                continue
+            v = variation_sum(ts, k, m)
+            c = (n - 1) / (q * k)
+            length_m = c * v / k
+            terms.append(length_m)
+            if want_detail:
+                detail.append(DetailRow(k, m, c, v, length_m))
+        lengths[k - 1] = sum(terms) / len(terms) if terms else 0.0
+    return lengths, detail
+
+
+def oracle_tilde_lengths(ts, k_max):
+    n = ts.n
+    check_admissible(n, k_max)
+    out = np.zeros(k_max)
+    for k in range(1, k_max + 1):
+        terms = []
+        for m in range(1, k + 1):
+            q = (n - m) // k
+            if q < 1:
+                continue
+            v = variation_sum(ts, k, m)
+            c = (n - 1) / (q * k)
+            terms.append((k / (n - 1)) * c * v)
+        out[k - 1] = sum(terms) / len(terms) if terms else 0.0
+    return out
+
+
+def oracle_geometric_hfd(ts, k_max):
+    areas = oracle_tilde_lengths(ts, k_max)
+    n = ts.n
+    ks = [k for k in range(1, k_max + 1) if areas[k - 1] != 0.0]
+    if len(ks) < 2:
+        return 1.0
+    points = np.array(
+        [(math.log(k / (n - 1)), math.log(areas[k - 1])) for k in ks]
+    )
+    slope, _ = regression_slope(points)
+    return 2.0 - slope
+
+
+def _alternating(n):
+    return sample(Alternating(*DEMO_ALTERNATING), n)
+
+
+def _noise(n, seed):
+    return TimeSeries(np.random.default_rng(seed).normal(size=n))
+
+
+CASES = {
+    "noise-n2": (_noise(2, 1), 1),
+    "noise-n3-k1": (_noise(3, 2), 1),
+    "noise-n3-k2": (_noise(3, 3), 2),
+    "noise-n4": (_noise(4, 4), 2),
+    "noise-odd-n51-half": (_noise(51, 5), ceil_half(51)),
+    "noise-n100-k17": (_noise(100, 6), 17),
+    "noise-n10000-k100": (_noise(10_000, 7), 100),
+    "alternating-n100-half": (_alternating(100), 50),
+    "alternating-odd-n101-half": (_alternating(101), ceil_half(101)),
+    "alternating-bumped-n100": (perturb(_alternating(100), 1, 1e-10), 50),
+    "alternating-bumped-odd-n101": (perturb(_alternating(101), 1, 1e-10), ceil_half(101)),
+    "periodic-n150-k30": (sample(PeriodicInterp(DEMO_PERIODIC_COEFFS), 150), 30),
+    "periodic-odd-n151-half": (sample(PeriodicInterp(DEMO_PERIODIC_COEFFS), 151), ceil_half(151)),
+    "weierstrass-n421-half": (sample(Weierstrass(5.0, 1.7), 421), ceil_half(421)),
+    "affine-odd-n37-half": (sample(Affine(2.5, -1.0), 37), ceil_half(37)),
+    "constant-odd-n11-half": (sample(Constant(3.7), 11), ceil_half(11)),
+    "constant-n2": (sample(Constant(-1.0), 2), 1),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    ts, k_max = CASES[request.param]
+    lengths, rows = oracle_length_table(ts, k_max, want_detail=True)
+    return ts, k_max, lengths, rows, oracle_tilde_lengths(ts, k_max)
+
+
+def test_curve_lengths_bit_equal(case):
+    ts, k_max, lengths, _, _ = case
+    assert np.array_equal(curve_lengths(ts, k_max), lengths)
+
+
+def test_tilde_lengths_bit_equal(case):
+    ts, k_max, _, _, areas = case
+    assert np.array_equal(tilde_lengths(ts, k_max), areas)
+
+
+def test_hfd_bit_equal(case):
+    ts, k_max, lengths, _, _ = case
+    slope, intercept, index_set, points = fit_lengths(lengths)
+    res = hfd(ts, k_max)
+    assert np.array_equal(res.lengths, lengths)
+    assert res.index_set == index_set
+    assert np.array_equal(res.points, points)
+    assert res.slope == slope
+    assert res.intercept == intercept
+    assert res.detail is None
+
+
+def test_geometric_hfd_bit_equal(case):
+    ts, k_max, _, _, _ = case
+    assert geometric_hfd(ts, k_max) == oracle_geometric_hfd(ts, k_max)
+
+
+def test_detail_rows_bit_equal(case):
+    ts, k_max, _, rows, _ = case
+    got = hfd(ts, k_max, detail=True).detail
+    assert list(got) == rows
+    for row in got:
+        assert type(row.k) is int and type(row.m) is int
+        assert type(row.c) is float and type(row.v) is float and type(row.length) is float
+        assert row.v == variation_sum(ts, row.k, row.m)
+
+
+OVERFLOWING = TimeSeries([1e308, -1e308] * 10)
+
+
+class TestOverflow:
+    def test_hfd_raises_naming_the_stride(self):
+        with pytest.raises(DomainError, match=r"length at stride k=1 "):
+            hfd(OVERFLOWING, 5)
+
+    def test_geometric_hfd_raises(self):
+        with pytest.raises(DomainError, match=r"area at stride k=1 "):
+            geometric_hfd(OVERFLOWING, 5)
+
+    def test_stability_report_raises(self):
+        with pytest.raises(DomainError, match=r"stride k=1 "):
+            stability_report(OVERFLOWING, 5)
+
+    def test_overflowing_increment_sum_raises(self):
+        # every increment is finite, their sum V(1, 1) is not
+        ts = TimeSeries([0.0, 1.5e308, 0.0, 1.5e308, 0.0])
+        with pytest.raises(DomainError, match=r"length at stride k=1 "):
+            hfd(ts, 3)
+
+    def test_large_finite_lengths_pass(self):
+        ts = TimeSeries([1e300, -1e300] * 10)
+        assert math.isfinite(hfd(ts, 5).slope)
+
+    def test_cli_exits_2_without_nan(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        rows = [f"{j},{(j - 1) / 19!r},{x!r}" for j, x in enumerate(OVERFLOWING.values.tolist(), 1)]
+        path.write_text("j,t,x\n" + "\n".join(rows) + "\n")
+        code = main(["hfd", "--input", str(path), "--kmax", "5", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "stride k=1" in err
+        assert "NaN" not in out + err
