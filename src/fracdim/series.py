@@ -19,6 +19,7 @@ if TYPE_CHECKING:
     from .signals import SignalSpec
 
 SERIES_CSV_HEADER = ("j", "t", "x")
+CSV_GRID_TOL = 1e-9
 
 
 def sample_grid(n: int) -> np.ndarray:
@@ -91,19 +92,50 @@ def write_csv(ts: TimeSeries, path) -> None:
 
 
 def from_csv_text(text: str) -> TimeSeries:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != SERIES_CSV_HEADER:
+    """Parse ``j,t,x`` CSV as written by :func:`to_csv_text`; blank lines are
+    skipped.
+
+    Every other line after the header must hold three numbers, ``j`` must
+    run 1..N in order and ``t`` must equal (j-1)/(N-1) within
+    ``CSV_GRID_TOL``; otherwise DomainError names the first offending line.
+    """
+    lines = text.splitlines()
+    if not lines or tuple(h.strip() for h in lines[0].split(",")) != SERIES_CSV_HEADER:
         raise DomainError(f"expected header {','.join(SERIES_CSV_HEADER)}")
-    values = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
+    body = [line for line in lines[1:] if line]
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body else np.empty((0, 3))
+    except ValueError:
+        raise _malformed_row(lines) from None
+    if table.shape[1] != 3:
+        raise _malformed_row(lines)
+    j, t, x = table.T
+    ts = TimeSeries(x)
+    n = ts.n
+    bad_j = np.flatnonzero(j != np.arange(1, n + 1))
+    bad_t = np.flatnonzero(~(np.abs(t - ts.grid) <= CSV_GRID_TOL))
+    if bad_j.size or bad_t.size:
+        i = int(bad_j[0] if bad_j.size else bad_t[0])
+        expected = f"j = {i + 1}" if bad_j.size else f"t = {i}/{n - 1} within {CSV_GRID_TOL:g}"
+        lineno = [no for no, line in enumerate(lines, start=1) if line][i + 1]
+        raise DomainError(f"series row at line {lineno}: {body[i]!r}, expected {expected} (N = {n})")
+    return ts
+
+
+def _malformed_row(lines) -> DomainError:
+    """The error naming the first body line that is not three numbers."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
             continue
+        row = line.split(",")
         try:
-            values.append(float(row[2]))
-        except (IndexError, ValueError) as exc:
-            raise DomainError(f"malformed series row at line {lineno}: {row!r}") from exc
-    return TimeSeries(np.asarray(values))
+            if len(row) != 3:
+                raise ValueError
+            for cell in row:
+                float(cell)
+        except ValueError:
+            return DomainError(f"malformed series row at line {lineno}: {row!r}")
+    return DomainError("malformed series CSV: a value is not a plain decimal number")
 
 
 def read_csv(path) -> TimeSeries:

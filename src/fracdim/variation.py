@@ -1,6 +1,12 @@
 """Total-variation machinery: partition sums, refinement traces, and the
 bridge between subseries increment sums and the variation of the sampled
 function.
+
+The signal is evaluated once per point: a trace refines its dyadic grids by
+midpoints, and a convergence row reads its partition from the sampled
+series.  Both give bit for bit the sums of evaluating every partition from
+scratch, because a shared point is the same float on both grids and
+evaluation is elementwise.
 """
 from __future__ import annotations
 
@@ -61,13 +67,17 @@ def uniform_partition(n_points: int) -> Partition:
     return Partition(np.arange(n_points, dtype=float) / (n_points - 1))
 
 
+def _partition_sum(values: np.ndarray) -> float:
+    """Sum of |v_i - v_{i-1}|, accumulated left to right."""
+    return float(np.cumsum(np.abs(np.diff(values)))[-1])
+
+
 def variation_over_partition(spec, partition: Partition) -> float:
     """Partition sum of |f(t_i) - f(t_{i-1})|, accumulated left to right."""
     if partition.a < 0.0 or partition.b > 1.0:
         raise DomainError("partition must lie inside [0, 1]")
     f = as_callable(spec)
-    values = np.asarray(f(partition.points), dtype=float)
-    return float(np.cumsum(np.abs(np.diff(values)))[-1])
+    return _partition_sum(np.asarray(f(partition.points), dtype=float))
 
 
 def higuchi_partition(n: int, k: int, m: int) -> Partition:
@@ -96,16 +106,29 @@ def total_variation_estimate(spec, levels: int) -> TvEstimate:
     Nesting makes the trace nondecreasing; for a continuous function of
     bounded variation it climbs to the total variation.  Returns the final
     value and the whole trace.
+
+    The grids are built by midpoint refinement, so each point is evaluated
+    once: level 0 evaluates its 65 points, and level n >= 1 evaluates only
+    its new midpoints i / (64 * 2**n) for odd i and interleaves them with
+    the values of level n-1.  The divisor is a power of two, so every grid
+    point is exact and an even i / (64 * 2**n) equals (i/2) / (64 * 2**(n-1)):
+    every level holds the same values as a grid evaluated from scratch.
+    Each level is summed left to right.
     """
     if levels < 2:
         raise DomainError(f"need at least 2 levels, got {levels}")
     f = as_callable(spec)
     trace = np.zeros(levels)
-    for level in range(levels):
-        intervals = TRACE_BASE_INTERVALS * 2**level
-        points = np.arange(intervals + 1, dtype=float) / intervals
-        values = np.asarray(f(points), dtype=float)
-        trace[level] = float(np.cumsum(np.abs(np.diff(values)))[-1])
+    intervals = TRACE_BASE_INTERVALS
+    values = np.asarray(f(np.arange(intervals + 1, dtype=float) / intervals), dtype=float)
+    trace[0] = _partition_sum(values)
+    for level in range(1, levels):
+        intervals *= 2
+        refined = np.empty(intervals + 1)
+        refined[0::2] = values
+        refined[1::2] = np.asarray(f(np.arange(1, intervals, 2, dtype=float) / intervals), dtype=float)
+        values = refined
+        trace[level] = _partition_sum(values)
     return TvEstimate(float(trace[-1]), trace)
 
 
@@ -123,21 +146,34 @@ def variation_convergence_check(spec, k: int, m: int, n_grid) -> List[Convergenc
 
     The three satisfy the exact decomposition  partition sum = increment sum
     + e_n, which callers can verify row by row.
+
+    The points of :func:`higuchi_partition` are exactly the grid quotients
+    j/(n-1) for j = 0, m-1, m-1+k, ..., m-1+qk, n-1 (an endpoint that repeats
+    a point is dropped), so the partition sum and e_n are read from the
+    sampled values instead of evaluating the signal again.  Grid-defined
+    specs raise DomainError, as they have no continuous form (see
+    :func:`as_callable`).
     """
     grid = [int(n) for n in n_grid]
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
-    f = as_callable(spec)
+    as_callable(spec)  # DomainError for grid-defined specs
     rows = []
     for n in grid:
         ts = sample(spec, n)
         v_nkm = variation_sum(ts, k, m)
-        part = higuchi_partition(n, k, m)
-        v_pn = variation_over_partition(spec, part)
         q = increments_count(n, k, m)
-        left = (m - 1) / (n - 1)
-        right = (m + q * k - 1) / (n - 1)
-        e_n = abs(float(f(0.0)) - float(f(left))) + abs(float(f(1.0)) - float(f(right)))
+        if q == 0:
+            raise EmptySubseriesError(f"no increments for n={n}, k={k}, m={m}")
+        x = ts.values
+        left, right = m - 1, m - 1 + q * k
+        parts = [x[left : right + 1 : k]]
+        if left > 0:
+            parts.insert(0, x[:1])
+        if right < n - 1:
+            parts.append(x[-1:])
+        v_pn = _partition_sum(np.concatenate(parts))
+        e_n = abs(float(x[0]) - float(x[left])) + abs(float(x[n - 1]) - float(x[right]))
         rows.append(ConvergenceRow(n, v_nkm, v_pn, e_n))
     return rows
 

@@ -118,3 +118,33 @@ class TestCsv:
             from_csv_text("j,t,x\n1,0,0\n2,0.5\n3,1,1\n")
         with pytest.raises(DomainError):
             from_csv_text("j,t,x\n1,0,zero\n2,1,1\n")
+
+    def test_shuffled_rows_rejected(self):
+        with pytest.raises(DomainError, match="line 2.*expected j = 1"):
+            from_csv_text("j,t,x\n3,1.0,5.0\n1,0.0,1.0\n2,0.5,2.0\n")
+
+    def test_missing_row_rejected(self):
+        with pytest.raises(DomainError, match="line 4.*expected j = 3"):
+            from_csv_text("j,t,x\n1,0,1\n2,0.25,2\n4,0.75,4\n5,1,5\n")
+
+    def test_t_on_another_grid_rejected(self):
+        # the t column of a 5-point grid under 4 rows
+        with pytest.raises(DomainError, match="line 3.*expected t = 1/3"):
+            from_csv_text("j,t,x\n1,0,1\n2,0.25,2\n3,0.5,3\n4,0.75,4\n")
+
+    def test_t_within_tolerance_accepted(self):
+        ts = from_csv_text("j,t,x\n1,0,1\n2,0.3333333333,2\n3,0.6666666667,3\n4,1,4\n")
+        assert list(ts.values) == [1.0, 2.0, 3.0, 4.0]
+
+    def test_blank_lines_and_crlf_accepted(self):
+        ts = from_csv_text("j,t,x\r\n1,0,1\r\n\r\n2,1,3\r\n")
+        assert list(ts.values) == [1.0, 3.0]
+
+    def test_extra_column_rejected(self):
+        with pytest.raises(DomainError, match="line 2"):
+            from_csv_text("j,t,x\n1,0,1,9\n2,1,3,9\n")
+
+    def test_large_round_trip_is_exact(self):
+        rng = np.random.default_rng(12)
+        ts = TimeSeries(rng.normal(size=20000) * 10.0 ** rng.uniform(-300, 300, 20000))
+        assert np.array_equal(from_csv_text(to_csv_text(ts)).values, ts.values)
