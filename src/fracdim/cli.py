@@ -3,13 +3,15 @@ sample counts, reproduce the perturbation experiments, and verify the
 package against its frozen expectations.
 
 All commands are deterministic: the same invocation produces byte-identical
-output files.
+output files.  Every output but the series CSV of ``gen`` goes through
+:func:`_emit`, which writes shortest round-trip floats and refuses a
+non-finite number before anything is written.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,9 +46,8 @@ from .stability import (
     DEMO_PERIODIC_COEFFS,
     divergence_trace,
     stability_report,
-    trace_csv_text,
 )
-from .variation import convergence_csv_text, total_variation_estimate, variation_convergence_check
+from .variation import TRACE_BASE_INTERVALS, total_variation_estimate, variation_convergence_check
 
 NAMED_SIGNALS = {
     "weierstrass": Weierstrass(5.0, 1.7),
@@ -82,6 +83,38 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _cell(column: str, value) -> str:
+    """One CSV cell: an int as is, a float in shortest round-trip form, and
+    None, the marker of a missing value, as ``nan``."""
+    if value is None:
+        return "nan"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    x = float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"column {column} holds the non-finite value {x!r}")
+    return repr(x)
+
+
+def _json_text(payload) -> str:
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # allow_nan=False refuses a non-finite float
+        raise DomainError("the result holds a non-finite number, which JSON cannot represent") from None
+
+
+def _emit(args, header, rows, payload=None) -> None:
+    """Write ``rows`` under ``header`` as CSV, or ``payload`` as JSON; without
+    a payload the JSON form is one object per row keyed by the header."""
+    if args.format == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(_cell(c, v) for c, v in zip(header, row)) for row in rows)
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _json_text([dict(zip(header, row)) for row in rows] if payload is None else payload)
+    _write_output(text, args.out)
+
+
 def _load_series(args) -> tuple[TimeSeries, SignalSpec | None]:
     if getattr(args, "input", None):
         if args.signal is not None:
@@ -110,22 +143,20 @@ def cmd_gen(args) -> int:
         _write_output(to_csv_text(ts), args.out)
     else:
         payload = {"signal": spec_to_dict(spec), "n": ts.n, "values": [float(v) for v in ts.values]}
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_output(_json_text(payload), args.out)
     return 0
 
 
 def cmd_hfd(args) -> int:
     ts, _ = _load_series(args)
     result = hfd(ts, _resolve_kmax(args, ts.n), detail=args.detail)
-    if args.format == "csv":
-        _write_output(result.points_csv_text(), args.out)
-    else:
-        payload = result.to_dict()
-        if args.detail:
-            payload["detail"] = [
-                {"k": r.k, "m": r.m, "C": r.c, "V": r.v, "L_m": r.length} for r in result.detail
-            ]
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    payload = result.to_dict()
+    if args.detail:
+        payload["detail"] = [
+            {"k": r.k, "m": r.m, "C": r.c, "V": r.v, "L_m": r.length} for r in result.detail
+        ]
+    rows = [(k, x, y) for k, (x, y) in zip(result.index_set, result.points)]
+    _emit(args, ("k", "log_inv_k", "log_L"), rows, payload)
     return 0
 
 
@@ -139,9 +170,8 @@ def cmd_boxdim(args) -> int:
         samples_per_column=args.samples_per_column,
         n_samples=args.n,
     )
-    _write_output(
-        result.to_csv_text() if args.format == "csv" else result.to_json_text(), args.out
-    )
+    rows = zip(result.deltas, result.counts, result.areas)
+    _emit(args, ("delta", "M", "A"), rows, result.to_dict())
     return 0
 
 
@@ -150,22 +180,11 @@ def cmd_tv(args) -> int:
     if args.n_grid:
         grid = [int(v) for v in args.n_grid.split(",")]
         rows = variation_convergence_check(spec, args.k, args.m, grid)
-        if args.format == "csv":
-            _write_output(convergence_csv_text(rows), args.out)
-        else:
-            payload = [{"N": r.n, "V_nkm": r.v_nkm, "V_PN": r.v_pn, "e_N": r.e_n} for r in rows]
-            _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(args, ("N", "V_nkm", "V_PN", "e_N"), rows)
         return 0
     estimate, trace = total_variation_estimate(spec, args.levels)
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("level,intervals,V\n")
-        for level, value in enumerate(trace):
-            buf.write(f"{level},{64 * 2**level},{float(value)!r}\n")
-        _write_output(buf.getvalue(), args.out)
-    else:
-        payload = {"estimate": estimate, "trace": [float(v) for v in trace]}
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    rows = [(level, TRACE_BASE_INTERVALS * 2**level, v) for level, v in enumerate(trace)]
+    _emit(args, ("level", "intervals", "V"), rows, {"estimate": estimate, "trace": [float(v) for v in trace]})
     return 0
 
 
@@ -175,17 +194,16 @@ def cmd_stability(args) -> int:
     if args.eps_grid:
         grid = [float(v) for v in args.eps_grid.split(",")]
         rows = divergence_trace(ts, k_max, args.index, grid)
-        if args.format == "csv":
-            _write_output(trace_csv_text(rows), args.out)
-        else:
-            payload = [
-                {"eps": r.eps, "D_eps": r.d_eps, "min_log_L": None if np.isnan(r.min_log_new) else r.min_log_new}
-                for r in rows
-            ]
-            _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        # NaN marks a trace row without resurrected strides: a missing value
+        rows = [(r.eps, r.d_eps, None if math.isnan(r.min_log_new) else r.min_log_new) for r in rows]
+        _emit(args, ("eps", "D_eps", "min_log_L"), rows)
         return 0
+    if args.format == "csv":
+        raise DomainError(
+            "the stability report has only a JSON form: pass --format json, or --eps-grid for a CSV trace"
+        )
     report = stability_report(ts, k_max, j=args.index, eps=args.eps)
-    _write_output(report.to_json_text(), args.out)
+    _write_output(_json_text(report.to_dict()), args.out)
     return 0
 
 
@@ -199,18 +217,9 @@ def cmd_sweep(args) -> int:
         grid = list(range(args.n_min, args.n_max + 1, args.n_step))
     rows = []
     for n in grid:
-        k_max = ceil_half(n) if args.kmax_rule == "half" else args.kmax
-        if k_max is None:
-            raise DomainError("pass --kmax or use --kmax-rule half")
+        k_max = _resolve_kmax(args, n)
         rows.append((n, hfd(sample(spec, n), k_max).slope))
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("N,D\n")
-        for n, d in rows:
-            buf.write(f"{n},{d!r}\n")
-        _write_output(buf.getvalue(), args.out)
-    else:
-        _write_output(json.dumps([{"N": n, "D": d} for n, d in rows], indent=2) + "\n", args.out)
+    _emit(args, ("N", "D"), rows)
     return 0
 
 

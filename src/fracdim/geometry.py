@@ -17,8 +17,6 @@ bit and a non-finite area raises :class:`DomainError` as a length does.
 """
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .higuchi import _stride_averages, regression_slope
+from .higuchi import _loglog_fit, _stride_averages, regression_slope
 from .series import TimeSeries
 from .signals import as_callable
 
@@ -100,16 +98,6 @@ class BoxCountResult:
             "dim_in_range": self.dim_in_range,
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("delta,M,A\n")
-        for d, c, a in zip(self.deltas, self.counts, self.areas):
-            buf.write(f"{float(d)!r},{int(c)},{float(a)!r}\n")
-        return buf.getvalue()
-
 
 def box_dim_estimate(
     spec,
@@ -162,13 +150,6 @@ def geometric_hfd(ts: TimeSeries, k_max: int) -> float:
     """Dimension via the area route: 2 minus the slope of log area against
     log scale.  Falls back to 1 with fewer than two nonzero areas, mirroring
     the estimator's degenerate branch."""
-    areas = tilde_lengths(ts, k_max)
     n = ts.n
-    ks = [k for k in range(1, k_max + 1) if areas[k - 1] != 0.0]
-    if len(ks) < 2:
-        return 1.0
-    points = np.array(
-        [(math.log(k / (n - 1)), math.log(areas[k - 1])) for k in ks]
-    )
-    slope, _ = regression_slope(points)
+    slope = _loglog_fit(tilde_lengths(ts, k_max), lambda k: math.log(k / (n - 1)))[0]
     return 2.0 - slope

@@ -24,8 +24,6 @@ through overflow, raises :class:`DomainError` naming the stride.
 """
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -181,23 +179,30 @@ def regression_slope(points) -> Tuple[float, float]:
     return slope, intercept
 
 
-def fit_lengths(lengths) -> Tuple[float, Optional[float], Tuple[int, ...], np.ndarray]:
-    """Regress log L(k) on log(1/k) over the nonzero-length strides.
+def _loglog_fit(values, x_of) -> Tuple[float, Optional[float], Tuple[int, ...], np.ndarray]:
+    """Regress log values[k-1] on ``x_of(k)`` over the strides k with a
+    nonzero value.
 
-    Returns (slope, intercept, index_set, points).  The zero test on L(k)
-    is exact: tiny nonzero lengths enter the fit, which is what makes the
-    estimator perturbation-sensitive.  With one or zero usable strides the
-    slope falls back to 1 and the intercept is None.
+    Returns (slope, intercept, index_set, points).  The zero test is exact:
+    tiny nonzero values enter the fit, which is what makes the estimator
+    perturbation-sensitive.  With one or zero usable strides the slope falls
+    back to 1 and the intercept is None.
     """
-    arr = np.asarray(lengths, dtype=float)
+    arr = np.asarray(values, dtype=float)
     index_set = tuple(k for k in range(1, arr.size + 1) if arr[k - 1] != 0.0)
     points = np.array(
-        [(math.log(1.0 / k), math.log(arr[k - 1])) for k in index_set]
+        [(x_of(k), math.log(arr[k - 1])) for k in index_set]
     ).reshape(len(index_set), 2)
     if len(index_set) <= 1:
         return 1.0, None, index_set, points
     slope, intercept = regression_slope(points)
     return slope, intercept, index_set, points
+
+
+def fit_lengths(lengths) -> Tuple[float, Optional[float], Tuple[int, ...], np.ndarray]:
+    """Regress log L(k) on log(1/k) over the nonzero-length strides; see
+    :func:`_loglog_fit` for the result and the fallback to slope 1."""
+    return _loglog_fit(lengths, lambda k: math.log(1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -224,17 +229,6 @@ class HfdResult:
             "Z": [[float(x), float(y)] for x, y in self.points],
             "L": [float(v) for v in self.lengths],
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    def points_csv_text(self) -> str:
-        """Log-log points as CSV ``k,log_inv_k,log_L`` in ascending k."""
-        buf = io.StringIO()
-        buf.write("k,log_inv_k,log_L\n")
-        for k, (x, y) in zip(self.index_set, self.points):
-            buf.write(f"{k},{float(x)!r},{float(y)!r}\n")
-        return buf.getvalue()
 
 
 def hfd(ts: TimeSeries, k_max: int, detail: bool = False) -> HfdResult:

@@ -9,7 +9,8 @@ and plotting (see :func:`as_callable`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -29,6 +30,13 @@ def _as_unit_interval(t) -> np.ndarray:
 
 def _maybe_scalar(arr: np.ndarray, out: np.ndarray):
     return float(out) if arr.ndim == 0 else out
+
+
+def _require_finite(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{type(spec).__name__}.{name} must be finite, got {value}")
 
 
 def weierstrass_term_count(lam: float, s: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
@@ -134,6 +142,7 @@ class Weierstrass:
     s: float
 
     def __post_init__(self):
+        _require_finite(self, "lam")
         weierstrass_term_count(self.lam, self.s)  # validates lam and s
 
     def evaluate(self, t):
@@ -148,6 +157,7 @@ class Oscillation:
     c: float
 
     def __post_init__(self):
+        _require_finite(self, "c")
         if not self.c > 0.0:
             raise DomainError(f"oscillation rate must be positive, got {self.c}")
 
@@ -163,6 +173,9 @@ class Affine:
     a: float
     b: float
 
+    def __post_init__(self):
+        _require_finite(self, "a", "b")
+
     def evaluate(self, t):
         return eval_affine(t, self.a, self.b)
 
@@ -173,6 +186,9 @@ class Affine:
 @dataclass(frozen=True)
 class Constant:
     c: float
+
+    def __post_init__(self):
+        _require_finite(self, "c")
 
     def evaluate(self, t):
         return eval_constant(t, self.c)
@@ -205,6 +221,7 @@ class Alternating:
     c2: float
 
     def __post_init__(self):
+        _require_finite(self, "c1", "c2")
         if self.c1 == self.c2:
             raise DomainError("c1 and c2 must differ (use Constant for c1 == c2)")
 
@@ -237,40 +254,51 @@ def as_callable(spec, n_samples: int | None = None) -> Callable:
     raise DomainError(f"cannot evaluate object of type {type(spec).__name__}")
 
 
+# kind -> (spec type, JSON field of each dataclass field in declaration order)
+_SPEC_KINDS = {
+    "weierstrass": (Weierstrass, ("lambda", "s")),
+    "oscillation": (Oscillation, ("c",)),
+    "affine": (Affine, ("a", "b")),
+    "constant": (Constant, ("c",)),
+    "periodic": (PeriodicInterp, ("values",)),
+    "alternating": (Alternating, ("c1", "c2")),
+}
+
+
 def spec_to_dict(spec: SignalSpec) -> dict:
     """JSON-ready form {"kind": ..., params...}; field names fixed by the CLI."""
-    if isinstance(spec, Weierstrass):
-        return {"kind": "weierstrass", "lambda": spec.lam, "s": spec.s}
-    if isinstance(spec, Oscillation):
-        return {"kind": "oscillation", "c": spec.c}
-    if isinstance(spec, Affine):
-        return {"kind": "affine", "a": spec.a, "b": spec.b}
-    if isinstance(spec, Constant):
-        return {"kind": "constant", "c": spec.c}
-    if isinstance(spec, PeriodicInterp):
-        return {"kind": "periodic", "values": list(spec.values)}
-    if isinstance(spec, Alternating):
-        return {"kind": "alternating", "c1": spec.c1, "c2": spec.c2}
+    for kind, (cls, keys) in _SPEC_KINDS.items():
+        if isinstance(spec, cls):
+            out = {"kind": kind}
+            for key, field in zip(keys, fields(cls)):
+                value = getattr(spec, field.name)
+                out[key] = list(value) if isinstance(value, tuple) else value
+            return out
     raise DomainError(f"not a signal spec: {type(spec).__name__}")
+
+
+def _number(kind: str, key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"signal kind '{kind}' field '{key}' must be a number, got {value!r}")
+    return float(value)
 
 
 def spec_from_dict(data: dict) -> SignalSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError("signal object needs a 'kind' field")
     kind = data["kind"]
-    try:
-        if kind == "weierstrass":
-            return Weierstrass(float(data["lambda"]), float(data["s"]))
-        if kind == "oscillation":
-            return Oscillation(float(data["c"]))
-        if kind == "affine":
-            return Affine(float(data["a"]), float(data["b"]))
-        if kind == "constant":
-            return Constant(float(data["c"]))
-        if kind == "periodic":
-            return PeriodicInterp(tuple(float(v) for v in data["values"]))
-        if kind == "alternating":
-            return Alternating(float(data["c1"]), float(data["c2"]))
-    except KeyError as exc:
-        raise DomainError(f"signal kind '{kind}' is missing field {exc}") from exc
-    raise DomainError(f"unknown signal kind '{kind}'")
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
+        raise DomainError(f"unknown signal kind '{kind}'")
+    cls, keys = _SPEC_KINDS[kind]
+    params = []
+    for key in keys:
+        if key not in data:
+            raise DomainError(f"signal kind '{kind}' is missing field '{key}'")
+        value = data[key]
+        if key == "values":
+            if not isinstance(value, (list, tuple)):
+                raise DomainError(f"signal kind '{kind}' field '{key}' must be a list, got {value!r}")
+            params.append(tuple(_number(kind, key, v) for v in value))
+        else:
+            params.append(_number(kind, key, value))
+    return cls(*params)

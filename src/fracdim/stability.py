@@ -8,8 +8,6 @@ diverges as the bump shrinks - which is what drags the slope far above 2.
 """
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
@@ -50,9 +48,6 @@ class StabilityReport:
             "base": self.base.to_dict(),
             "perturbed": self.perturbed.to_dict(),
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def stability_report(
@@ -122,11 +117,3 @@ def divergence_trace(ts: TimeSeries, k_max: int, j, eps_grid) -> List[TraceRow]:
             min_log = math.nan
         rows.append(TraceRow(eps, report.perturbed.slope, min_log))
     return rows
-
-
-def trace_csv_text(rows) -> str:
-    buf = io.StringIO()
-    buf.write("eps,D_eps,min_log_L\n")
-    for row in rows:
-        buf.write(f"{row.eps!r},{row.d_eps!r},{row.min_log_new!r}\n")
-    return buf.getvalue()

@@ -10,7 +10,6 @@ evaluation is elementwise.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import List, NamedTuple
 
@@ -176,11 +175,3 @@ def variation_convergence_check(spec, k: int, m: int, n_grid) -> List[Convergenc
         e_n = abs(float(x[0]) - float(x[left])) + abs(float(x[n - 1]) - float(x[right]))
         rows.append(ConvergenceRow(n, v_nkm, v_pn, e_n))
     return rows
-
-
-def convergence_csv_text(rows) -> str:
-    buf = io.StringIO()
-    buf.write("N,V_nkm,V_PN,e_N\n")
-    for row in rows:
-        buf.write(f"{row.n},{row.v_nkm!r},{row.v_pn!r},{row.e_n!r}\n")
-    return buf.getvalue()

@@ -18,6 +18,7 @@ from fracdim import (
     sample,
     stability_report,
     total_variation_estimate,
+    variation_convergence_check,
 )
 from fracdim.cli import main, parse_signal
 from fracdim.signals import Weierstrass, spec_to_dict
@@ -202,6 +203,13 @@ class TestStability:
         assert lines[0] == "eps,D_eps,min_log_L"
         assert float(lines[1].split(",")[1]) == direct[0].d_eps
 
+    def test_report_has_no_csv_form(self, tmp_path, capsys):
+        out = tmp_path / "st.csv"
+        argv = ["stability", "--signal", "alternating", "--n", "100", "--kmax", "50", "--format", "csv"]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "only a JSON form" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_perturbed_series_from_file(self, tmp_path):
         series = tmp_path / "s.csv"
         out = tmp_path / "st.json"
@@ -238,6 +246,109 @@ class TestSweep:
         payload = json.loads(out.read_text())
         expected = hfd(sample(Weierstrass(5.0, 1.7), 80), 40).slope
         assert payload[1] == {"N": 80, "D": expected}
+
+
+def _gen_rows():
+    ts = sample(Oscillation(20.0), 50)
+    return list(zip(range(1, ts.n + 1), ts.grid, ts.values))
+
+
+def _hfd_rows():
+    result = hfd(sample(Weierstrass(5.0, 1.7), 200), 20)
+    return [(k, x, y) for k, (x, y) in zip(result.index_set, result.points)]
+
+
+def _boxdim_rows():
+    result = box_dim_estimate(Oscillation(20.0), delta_min=0.01, delta_max=0.1, levels=4)
+    return list(zip(result.deltas, result.counts, result.areas))
+
+
+def _tv_rows():
+    trace = total_variation_estimate(Weierstrass(5.0, 1.7), 4).trace
+    return [(level, 64 * 2**level, v) for level, v in enumerate(trace)]
+
+
+def _trace_rows(spec):
+    rows = divergence_trace(sample(spec, 100), 50, 1, (1e-4, 1e-8))
+    return [(r.eps, r.d_eps, None if np.isnan(r.min_log_new) else r.min_log_new) for r in rows]
+
+
+# command -> (argv, in-process CSV rows, or None for a JSON-only payload)
+OUTPUT_CASES = {
+    "gen": (["gen", "--signal", "oscillation", "--n", "50"], _gen_rows),
+    "hfd": (["hfd", "--signal", "weierstrass", "--n", "200", "--kmax", "20"], _hfd_rows),
+    "boxdim": (
+        ["boxdim", "--signal", "oscillation", "--delta-min", "0.01", "--delta-max", "0.1", "--levels", "4"],
+        _boxdim_rows,
+    ),
+    "tv": (["tv", "--signal", "weierstrass", "--levels", "4"], _tv_rows),
+    "tv_convergence": (
+        ["tv", "--signal", "oscillation", "--n-grid", "100,1000", "--k", "3", "--m", "2"],
+        lambda: list(variation_convergence_check(Oscillation(20.0), 3, 2, (100, 1000))),
+    ),
+    "stability": (["stability", "--signal", "alternating", "--n", "100", "--kmax", "50"], None),
+    "stability_trace": (
+        ["stability", "--signal", "alternating", "--n", "100", "--kmax", "50", "--eps-grid", "1e-4,1e-8"],
+        lambda: _trace_rows(Alternating(*DEMO_ALTERNATING)),
+    ),
+    "stability_trace_missing": (
+        # a bump on a rough series resurrects no stride, so min_log_L is missing
+        ["stability", "--signal", "weierstrass", "--n", "100", "--kmax", "50", "--eps-grid", "1e-4,1e-8"],
+        lambda: _trace_rows(Weierstrass(5.0, 1.7)),
+    ),
+    "sweep": (
+        ["sweep", "--signal", "oscillation", "--n-grid", "40,80", "--kmax-rule", "half"],
+        lambda: [(n, hfd(sample(Oscillation(20.0), n), n // 2).slope) for n in (40, 80)],
+    ),
+}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"invalid JSON number {name}")
+
+
+class TestOutputRule:
+    @pytest.mark.parametrize(
+        "case,fmt",
+        [(case, fmt) for case in sorted(OUTPUT_CASES) for fmt in ("csv", "json")
+         if fmt == "json" or OUTPUT_CASES[case][1] is not None],
+    )
+    def test_every_number_is_finite_and_exact(self, case, fmt, tmp_path):
+        argv, expected_rows = OUTPUT_CASES[case]
+        out = tmp_path / f"{case}.{fmt}"
+        assert run_cli(*argv, "--format", fmt, "--out", str(out)) == 0
+        text = out.read_text()
+        if fmt == "json":
+            json.loads(text, parse_constant=_reject_constant)
+            return
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        expected = expected_rows()
+        assert len(rows) == len(expected)
+        for cells, values in zip(rows, expected):
+            assert len(cells) == len(values)
+            for cell, value in zip(cells, values):
+                if value is None:
+                    assert cell == "nan"
+                else:
+                    assert float(cell) == value
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "signal",
+        ['{"kind": "affine", "a": 1.7e308, "b": 1.7e308}', '{"kind": "constant", "c": 1e999}'],
+    )
+    def test_non_finite_result_writes_nothing(self, signal, fmt, tmp_path, capsys):
+        out = tmp_path / f"tv.{fmt}"
+        assert run_cli("tv", "--signal", signal, "--levels", "2", "--format", fmt, "--out", str(out)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "signal", ['{"kind": "constant", "c": [1]}', '{"kind": "periodic", "values": 5}']
+    )
+    def test_non_number_parameter_exits_2(self, signal, capsys):
+        assert run_cli("gen", "--signal", signal, "--n", "10") == 2
+        assert "must be" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

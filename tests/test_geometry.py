@@ -21,6 +21,7 @@ from fracdim import (
     tilde_lengths,
 )
 from fracdim.acceptance import golden_values
+from fracdim.cli import main
 from fracdim.errors import AdmissibilityError, DomainError
 from fracdim.higuchi import ceil_half
 
@@ -95,11 +96,16 @@ class TestBoxDimEstimate:
         with pytest.raises(DomainError):
             box_dim_estimate(Constant(0.0), levels=1)
 
-    def test_serialization_shapes(self):
-        result = box_dim_estimate(Affine(1.0, 0.0), delta_min=0.01, delta_max=0.1, levels=4)
-        payload = json.loads(result.to_json_text())
+    def test_serialization_shapes(self, capsys):
+        argv = [
+            "boxdim", "--signal", '{"kind": "affine", "a": 1.0, "b": 0.0}',
+            "--delta-min", "0.01", "--delta-max", "0.1", "--levels", "4",
+        ]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"deltas", "counts", "areas", "dim_estimate", "intercept", "dim_in_range"}
-        lines = result.to_csv_text().splitlines()
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "delta,M,A"
         assert len(lines) == 5
 

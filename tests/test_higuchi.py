@@ -23,12 +23,15 @@ from fracdim import (
     sample,
     variation_sum,
 )
+from fracdim.cli import main
 from fracdim.errors import (
     AdmissibilityError,
     DegenerateRegressionError,
     DomainError,
     EmptySubseriesError,
 )
+
+ALTERNATING_01 = '{"kind": "alternating", "c1": 0.0, "c2": 1.0}'
 
 
 class TestAdmissibility:
@@ -229,17 +232,19 @@ class TestHfd:
             assert 1 <= row.m <= row.k <= 4
         assert hfd(ts, 4).detail is None
 
-    def test_json_shape(self):
-        result = hfd(make_alternating_series(10, 0.0, 1.0), 5)
-        payload = json.loads(result.to_json_text())
+    def test_json_shape(self, capsys):
+        argv = ["hfd", "--signal", ALTERNATING_01, "--n", "10", "--kmax", "5", "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"N", "k_max", "D", "intercept", "I", "Z", "L"}
         assert payload["N"] == 10 and payload["k_max"] == 5
         assert len(payload["Z"]) == len(payload["I"])
         assert len(payload["L"]) == 5
 
-    def test_points_csv(self):
+    def test_points_csv(self, capsys):
         result = hfd(make_alternating_series(10, 0.0, 1.0), 5)
-        lines = result.points_csv_text().splitlines()
+        assert main(["hfd", "--signal", ALTERNATING_01, "--n", "10", "--kmax", "5", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "k,log_inv_k,log_L"
         assert len(lines) == 1 + len(result.index_set)
         k, x, y = lines[1].split(",")

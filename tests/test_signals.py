@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -194,6 +195,49 @@ class TestSpecSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(DomainError):
             spec_from_dict({"kind": "affine", "a": 1.0})
+
+    @pytest.mark.parametrize(
+        "data,field",
+        [
+            ({"kind": "constant", "c": [1]}, "c"),
+            ({"kind": "constant", "c": None}, "c"),
+            ({"kind": "constant", "c": "1.0"}, "c"),
+            ({"kind": "affine", "a": 1.0, "b": True}, "b"),
+            ({"kind": "weierstrass", "lambda": {}, "s": 1.7}, "lambda"),
+            ({"kind": "periodic", "values": 5}, "values"),
+            ({"kind": "periodic", "values": [1.0, None]}, "values"),
+        ],
+    )
+    def test_non_number_field_rejected(self, data, field):
+        with pytest.raises(DomainError, match=f"'{field}'"):
+            spec_from_dict(data)
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(DomainError, match="unknown signal kind"):
+            spec_from_dict({"kind": ["constant"], "c": 1.0})
+
+    def test_key_order_and_names(self):
+        assert list(spec_to_dict(Weierstrass(5.0, 1.7))) == ["kind", "lambda", "s"]
+        assert spec_to_dict(PeriodicInterp((1.0, 2.0))) == {"kind": "periodic", "values": [1.0, 2.0]}
+        assert list(spec_to_dict(Alternating(0.4, 0.6))) == ["kind", "c1", "c2"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        (Weierstrass(5.0, 1.7), "lam"),
+        (Oscillation(20.0), "c"),
+        (Affine(2.0, 1.0), "a"),
+        (Affine(2.0, 1.0), "b"),
+        (Constant(1.0), "c"),
+        (Alternating(0.4, 0.6), "c1"),
+        (Alternating(0.4, 0.6), "c2"),
+    ],
+)
+def test_non_finite_parameter_rejected(spec, field, value):
+    with pytest.raises(DomainError, match=f"{type(spec).__name__}.{field} must be finite"):
+        dataclasses.replace(spec, **{field: value})
 
 
 class TestAsCallable:

@@ -19,7 +19,8 @@ from fracdim import (
 )
 from fracdim.acceptance import golden_values
 from fracdim.errors import DomainError
-from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS, trace_csv_text
+from fracdim.cli import main
+from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +72,10 @@ class TestStabilityReport:
         expected_x = sorted(math.log(1.0 / k) for k in resurrected)
         assert sorted(report.new_points[:, 0]) == pytest.approx(expected_x, abs=0.0)
 
-    def test_json_shape(self, alternating_series):
+    def test_json_shape(self, alternating_series, capsys):
         report = stability_report(alternating_series, 50)
-        payload = json.loads(report.to_json_text())
+        assert main(["stability", "--signal", "alternating", "--n", "100", "--kmax", "50"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"eps", "index", "delta_D", "new_points", "vanished", "base", "perturbed"}
         assert payload["base"]["D"] == report.base.slope
 
@@ -154,9 +156,13 @@ class TestDivergenceTrace:
         with pytest.raises(DomainError):
             divergence_trace(alternating_series, 50, 1, (1e-6, 1e-4))
 
-    def test_csv_format(self, alternating_series):
-        rows = divergence_trace(alternating_series, 50, 1, (1e-4, 1e-6))
-        lines = trace_csv_text(rows).splitlines()
+    def test_csv_format(self, capsys):
+        argv = [
+            "stability", "--signal", "alternating", "--n", "100", "--kmax", "50",
+            "--eps-grid", "1e-4,1e-6", "--format", "csv",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "eps,D_eps,min_log_L"
         assert len(lines) == 3
 

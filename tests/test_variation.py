@@ -22,7 +22,7 @@ from fracdim import (
     variation_sum,
 )
 from fracdim.errors import DomainError, EmptySubseriesError
-from fracdim.variation import convergence_csv_text
+from fracdim.cli import main
 
 
 def single_sinusoid(t):
@@ -182,9 +182,13 @@ class TestConvergenceCheck:
         with pytest.raises(DomainError):
             variation_convergence_check(Affine(1.0, 0.0), 2, 1, (100, 100))
 
-    def test_csv_format(self):
-        rows = variation_convergence_check(Affine(1.0, 0.0), 2, 1, (10, 20))
-        lines = convergence_csv_text(rows).splitlines()
+    def test_csv_format(self, capsys):
+        argv = [
+            "tv", "--signal", '{"kind": "affine", "a": 1.0, "b": 0.0}',
+            "--n-grid", "10,20", "--k", "2", "--m", "1", "--format", "csv",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "N,V_nkm,V_PN,e_N"
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "10"

@@ -6,6 +6,8 @@ scratch) and the partition-based convergence loop (the signal evaluated on
 ``higuchi_partition`` plus four scalar calls for e_n), kept verbatim.  Every
 comparison is exact: ``np.array_equal`` or ``==``, never a tolerance.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -17,16 +19,18 @@ from fracdim import (
     PeriodicInterp,
     Weierstrass,
     as_callable,
+    cli,
     higuchi_partition,
     increments_count,
     sample,
+    spec_to_dict,
     total_variation_estimate,
     variation_convergence_check,
     variation_over_partition,
     variation_sum,
 )
 from fracdim.errors import DomainError, EmptySubseriesError
-from fracdim.variation import TRACE_BASE_INTERVALS, ConvergenceRow, convergence_csv_text
+from fracdim.variation import TRACE_BASE_INTERVALS, ConvergenceRow
 
 
 def oracle_trace(spec, levels):
@@ -128,6 +132,14 @@ CONVERGENCE_CASES = {
 }
 
 
+def cli_convergence_output(spec, k, m, n_grid, fmt, capsys):
+    grid = ",".join(str(n) for n in n_grid)
+    argv = ["tv", "--signal", json.dumps(spec_to_dict(spec)), "--n-grid", grid,
+            "--k", str(k), "--m", str(m), "--format", fmt]
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
 def _assert_rows_equal(rows, ref):
     assert len(rows) == len(ref)
     for row, expected in zip(rows, ref):
@@ -138,7 +150,7 @@ def _assert_rows_equal(rows, ref):
 
 @pytest.mark.parametrize("case", sorted(CONVERGENCE_CASES))
 @pytest.mark.parametrize("name", sorted(CONVERGENCE_SPECS))
-def test_convergence_rows_bit_equal_to_partition_oracle(name, case):
+def test_convergence_rows_bit_equal_to_partition_oracle(name, case, capsys, monkeypatch):
     k, m, n_grid, shared = CONVERGENCE_CASES[case]
     if shared is not None:
         for n in n_grid:
@@ -147,7 +159,11 @@ def test_convergence_rows_bit_equal_to_partition_oracle(name, case):
     rows = variation_convergence_check(spec, k, m, n_grid)
     ref = oracle_convergence(spec, k, m, n_grid)
     _assert_rows_equal(rows, ref)
-    assert convergence_csv_text(rows) == convergence_csv_text(ref)
+    for fmt in ("csv", "json"):
+        text = cli_convergence_output(spec, k, m, n_grid, fmt, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "variation_convergence_check", oracle_convergence)
+            assert cli_convergence_output(spec, k, m, n_grid, fmt, capsys) == text
 
 
 def test_convergence_random_strides_bit_equal():
