@@ -148,6 +148,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_hfd(args) -> int:
+    if args.detail and args.format == "csv":
+        raise DomainError("the per-(k, m) detail has only a JSON form: pass --format json, or drop --detail")
     ts, _ = _load_series(args)
     result = hfd(ts, _resolve_kmax(args, ts.n), detail=args.detail)
     payload = result.to_dict()

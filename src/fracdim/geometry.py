@@ -65,11 +65,15 @@ def box_count(
     lo = np.minimum(np.arange(n_cols) * delta, 1.0)
     hi = np.minimum(lo + delta, 1.0)
     offsets = np.arange(samples_per_column) / (samples_per_column - 1)
-    points = lo[:, None] + (hi - lo)[:, None] * offsets[None, :]
+    # built in place: one mesh-size array, not two (see eval_oscillation)
+    points = (hi - lo)[:, None] * offsets[None, :]
+    points += lo[:, None]
     values = np.asarray(f(points.ravel()), dtype=float).reshape(n_cols, samples_per_column)
-    row_lo = np.floor(values.min(axis=1) / delta)
-    row_hi = np.floor(values.max(axis=1) / delta)
-    return int(np.sum(row_hi - row_lo + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(np.floor(values.max(axis=1) / delta) - np.floor(values.min(axis=1) / delta) + 1.0)
+    if not math.isfinite(total):
+        raise DomainError(f"graph values overflow the row count of the {delta!r}-mesh")
+    return int(total)
 
 
 def area_from_count(delta: float, m_count: int) -> float:

@@ -6,8 +6,6 @@ uses the 1-based convention.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -77,13 +75,8 @@ def perturb(ts: TimeSeries, j: int, eps: float) -> TimeSeries:
 
 def to_csv_text(ts: TimeSeries) -> str:
     """Render as CSV with header ``j,t,x``; floats at 17 significant digits."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SERIES_CSV_HEADER)
-    grid = ts.grid
-    for j in range(1, ts.n + 1):
-        writer.writerow((j, format(grid[j - 1], ".17g"), format(ts.values[j - 1], ".17g")))
-    return buf.getvalue()
+    rows = zip(range(1, ts.n + 1), ts.grid.tolist(), ts.values.tolist())
+    return ",".join(SERIES_CSV_HEADER) + "\n" + "".join(f"{j},{t:.17g},{x:.17g}\n" for j, t, x in rows)
 
 
 def write_csv(ts: TimeSeries, path) -> None:

@@ -119,6 +119,13 @@ class TestHfd:
         payload = json.loads(out.read_text())
         assert len(payload["detail"]) == 10  # sum over k of offsets with q >= 1
 
+    def test_detail_has_no_csv_form(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["hfd", "--signal", "alternating", "--n", "20", "--kmax", "4", "--detail", "--format", "csv"]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "only a JSON form" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_signal_and_input_conflict(self, tmp_path, capsys):
         series = tmp_path / "s.csv"
         run_cli("gen", "--signal", "constant", "--n", "10", "--out", str(series))

@@ -49,6 +49,11 @@ class TestBoxCount:
         with pytest.raises(DomainError):
             box_count(Constant(0.0), 1e-9)
 
+    @pytest.mark.parametrize("spec", [Affine(1.7e308, 1.7e308), Constant(1e308), Affine(1e308, -1e308)])
+    def test_overflowing_graph_raises_domain_error(self, spec):
+        with pytest.raises(DomainError):
+            box_count(spec, 0.5)
+
     @pytest.mark.parametrize("spec", [Weierstrass(5.0, 1.7), Oscillation(20.0)])
     def test_halving_mesh_never_loses_cells(self, spec):
         for level in range(2, 9):

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,17 @@ class TestCsv:
         assert lines[0] == "j,t,x"
         assert len(lines) == 4
         assert lines[1].startswith("1,0,")
+
+    def test_text_equals_csv_writer_rows(self):
+        # oracle: the standard csv module writing one row per sample
+        values = np.array([0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1e308, -1e308, 1 / 3, -7.25])
+        ts = TimeSeries(values)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("j", "t", "x"))
+        for j, (t, x) in enumerate(zip(ts.grid, ts.values), start=1):
+            writer.writerow((j, format(t, ".17g"), format(x, ".17g")))
+        assert to_csv_text(ts) == buf.getvalue()
 
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(11)

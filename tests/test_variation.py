@@ -145,6 +145,12 @@ class TestTotalVariationEstimate:
         # frozen from the level-converged run; reruns must reproduce it
         assert estimate == pytest.approx(12.503373981270832, abs=1e-9)
 
+    def test_overflowing_signal_raises_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            total_variation_estimate(Affine(1.7e308, 1.7e308), 2)
+        with pytest.raises(DomainError, match="overflows"):
+            variation_over_partition(Affine(1.7e308, 1.7e308), uniform_partition(4))
+
     def test_needs_two_levels(self):
         with pytest.raises(DomainError):
             total_variation_estimate(Constant(0.0), 1)
