@@ -15,16 +15,13 @@ from .errors import (
 )
 from .geometry import (
     BoxCountResult,
-    area_from_count,
     box_count,
     box_dim_estimate,
     geometric_hfd,
     tilde_lengths,
 )
 from .higuchi import (
-    AdmissiblePair,
     HfdResult,
-    check_admissible,
     curve_lengths,
     fit_lengths,
     hfd,
@@ -40,16 +37,8 @@ from .signals import (
     Constant,
     Oscillation,
     PeriodicInterp,
-    SignalSpec,
     Weierstrass,
     as_callable,
-    eval_affine,
-    eval_constant,
-    eval_oscillation,
-    eval_spline,
-    eval_weierstrass,
-    make_alternating_series,
-    make_periodic_series,
     spec_from_dict,
     spec_to_dict,
     weierstrass_term_count,
@@ -64,7 +53,6 @@ from .variation import (
     Partition,
     higuchi_partition,
     total_variation_estimate,
-    uniform_partition,
     variation_convergence_check,
     variation_over_partition,
 )
@@ -73,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError",
-    "AdmissiblePair",
     "Affine",
     "Alternating",
     "BoxCountResult",
@@ -86,29 +73,19 @@ __all__ = [
     "Oscillation",
     "Partition",
     "PeriodicInterp",
-    "SignalSpec",
     "StabilityReport",
     "TimeSeries",
     "Weierstrass",
-    "area_from_count",
     "as_callable",
     "box_count",
     "box_dim_estimate",
-    "check_admissible",
     "curve_lengths",
     "divergence_trace",
-    "eval_affine",
-    "eval_constant",
-    "eval_oscillation",
-    "eval_spline",
-    "eval_weierstrass",
     "fit_lengths",
     "geometric_hfd",
     "hfd",
     "higuchi_partition",
     "increments_count",
-    "make_alternating_series",
-    "make_periodic_series",
     "normalization_constant",
     "perturb",
     "perturbed_length_closed_form",
@@ -121,7 +98,6 @@ __all__ = [
     "stability_report",
     "tilde_lengths",
     "total_variation_estimate",
-    "uniform_partition",
     "variation_convergence_check",
     "variation_over_partition",
     "weierstrass_term_count",

@@ -64,15 +64,17 @@ def parse_signal(text: str) -> SignalSpec:
     if text in NAMED_SIGNALS:
         return NAMED_SIGNALS[text]
     stripped = text.strip()
-    if stripped.startswith("{"):
-        return spec_from_dict(json.loads(stripped))
-    path = Path(text)
-    if path.is_file():
-        return spec_from_dict(json.loads(path.read_text()))
-    raise DomainError(
-        f"unknown signal '{text}': expected one of {sorted(NAMED_SIGNALS)}, "
-        "an inline JSON object, or a path to a JSON file"
-    )
+    inline = stripped.startswith("{")
+    if not inline and not Path(text).is_file():
+        raise DomainError(
+            f"unknown signal '{text}': expected one of {sorted(NAMED_SIGNALS)}, "
+            "an inline JSON object, or a path to a JSON file"
+        )
+    try:
+        data = json.loads(stripped if inline else Path(text).read_text())
+    except ValueError as exc:  # malformed JSON or a file that is not text
+        raise DomainError(f"signal '{text}' is not valid JSON: {exc}") from None
+    return spec_from_dict(data)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -180,8 +182,7 @@ def cmd_boxdim(args) -> int:
 def cmd_tv(args) -> int:
     spec = parse_signal(args.signal)
     if args.n_grid:
-        grid = [int(v) for v in args.n_grid.split(",")]
-        rows = variation_convergence_check(spec, args.k, args.m, grid)
+        rows = variation_convergence_check(spec, args.k, args.m, args.n_grid)
         _emit(args, ("N", "V_nkm", "V_PN", "e_N"), rows)
         return 0
     estimate, trace = total_variation_estimate(spec, args.levels)
@@ -194,8 +195,7 @@ def cmd_stability(args) -> int:
     ts, _ = _load_series(args)
     k_max = _resolve_kmax(args, ts.n)
     if args.eps_grid:
-        grid = [float(v) for v in args.eps_grid.split(",")]
-        rows = divergence_trace(ts, k_max, args.index, grid)
+        rows = divergence_trace(ts, k_max, args.index, args.eps_grid)
         # NaN marks a trace row without resurrected strides: a missing value
         rows = [(r.eps, r.d_eps, None if math.isnan(r.min_log_new) else r.min_log_new) for r in rows]
         _emit(args, ("eps", "D_eps", "min_log_L"), rows)
@@ -212,10 +212,12 @@ def cmd_stability(args) -> int:
 def cmd_sweep(args) -> int:
     spec = parse_signal(args.signal)
     if args.n_grid:
-        grid = sorted({int(v) for v in args.n_grid.split(",")})
+        grid = sorted(set(args.n_grid))
     else:
         if args.n_min is None or args.n_max is None:
             raise DomainError("pass --n-grid or both --n-min and --n-max")
+        if args.n_step == 0:
+            raise DomainError("--n-step must not be 0")
         grid = list(range(args.n_min, args.n_max + 1, args.n_step))
     rows = []
     for n in grid:
@@ -226,13 +228,26 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.only:
-        ids = [int(v) for v in args.only.split(",")]
-    else:
-        ids = None
-    rows = acceptance.run_claims(ids)
+    rows = acceptance.run_claims(args.only or None)
     _write_output(acceptance.render_report(rows), args.out)
     return 0 if acceptance.all_passed(rows) else 1
+
+
+def _comma_list(convert, what: str):
+    """An argparse ``type`` that reads comma-separated values; the empty
+    string gives an empty list."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(v) for v in text.split(",")] if text else []
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+
+    return parse
+
+
+_INT_LIST = _comma_list(int, "integers")
+_FLOAT_LIST = _comma_list(float, "numbers")
 
 
 def _add_signal_source(parser, with_input: bool) -> None:
@@ -290,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tv", help="total-variation estimate or convergence table")
     p.add_argument("--signal", required=True)
     p.add_argument("--levels", type=int, default=12, help="trace levels (estimate mode)")
-    p.add_argument("--n-grid", help="comma-separated N values (convergence mode)")
+    p.add_argument("--n-grid", type=_INT_LIST, help="comma-separated N values (convergence mode)")
     p.add_argument("--k", type=int, default=2, help="stride for convergence mode")
     p.add_argument("--m", type=int, default=1, help="offset for convergence mode")
     _add_common_output(p, "csv")
@@ -301,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kmax(p)
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--index", type=int, default=DEFAULT_INDEX, help="1-based sample to bump")
-    p.add_argument("--eps-grid", help="comma-separated decreasing bump sizes (trace mode)")
+    p.add_argument("--eps-grid", type=_FLOAT_LIST, help="comma-separated decreasing bump sizes (trace mode)")
     _add_common_output(p, "json")
     p.set_defaults(func=cmd_stability)
 
@@ -310,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--n-step", type=int, default=1)
-    p.add_argument("--n-grid", help="comma-separated N values")
+    p.add_argument("--n-grid", type=_INT_LIST, help="comma-separated N values")
     _add_kmax(p)
     _add_common_output(p, "csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the verification claims and report pass/fail")
-    p.add_argument("--only", help="comma-separated claim ids (default: all)")
+    p.add_argument("--only", type=_INT_LIST, help="comma-separated claim ids (default: all)")
     p.add_argument("--out", help="report path (default: stdout)")
     p.set_defaults(func=cmd_verify)
 
@@ -327,10 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FracdimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (FracdimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -76,11 +76,6 @@ def box_count(
     return int(total)
 
 
-def area_from_count(delta: float, m_count: int) -> float:
-    """Total area delta**2 * M covered by M cells of side delta."""
-    return delta * delta * m_count
-
-
 @dataclass(frozen=True)
 class BoxCountResult:
     """Counts and areas over a mesh-size grid plus the regression estimate."""

@@ -38,24 +38,11 @@ def ceil_half(n: int) -> int:
     return (n + 1) // 2
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """Input sizes (n, k_max) with n >= 2 and 1 <= k_max <= ceil(n/2)."""
-
-    n: int
-    k_max: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise AdmissibilityError(f"need n >= 2, got n={self.n}")
-        if not 1 <= self.k_max <= ceil_half(self.n):
-            raise AdmissibilityError(
-                f"need 1 <= k_max <= ceil(n/2) = {ceil_half(self.n)}, got k_max={self.k_max}"
-            )
-
-
-def check_admissible(n: int, k_max: int) -> AdmissiblePair:
-    return AdmissiblePair(n, k_max)
+def _check_admissible(n: int, k_max: int) -> None:
+    """AdmissibilityError unless 1 <= k_max <= ceil(n/2); a TimeSeries
+    already guarantees n >= 2."""
+    if not 1 <= k_max <= ceil_half(n):
+        raise AdmissibilityError(f"need 1 <= k_max <= ceil(n/2) = {ceil_half(n)}, got k_max={k_max}")
 
 
 def _check_stride_offset(n: int, k: int, m: int) -> None:
@@ -127,7 +114,7 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None) -> 
     increment, k = 1..k_max; each (k, m) row is appended to ``rows`` when
     given.  ``what`` names the averaged quantity in the DomainError raised
     for a non-finite average."""
-    check_admissible(ts.n, k_max)
+    _check_admissible(ts.n, k_max)
     out = np.zeros(k_max)
     with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
         for k in range(1, k_max + 1):

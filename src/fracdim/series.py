@@ -18,12 +18,20 @@ if TYPE_CHECKING:
 
 SERIES_CSV_HEADER = ("j", "t", "x")
 CSV_GRID_TOL = 1e-9
+# the length of the largest float64 array whose size in bytes numpy can hold
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
+
+
+def _check_sample_count(n: int) -> None:
+    if n < 2:
+        raise AdmissibilityError(f"need at least 2 samples, got n={n}")
+    if n > _MAX_SAMPLES:
+        raise AdmissibilityError(f"need at most {_MAX_SAMPLES} samples, got n={n}")
 
 
 def sample_grid(n: int) -> np.ndarray:
     """Grid points (j-1)/(n-1) for j = 1..n as an exact integer/integer division."""
-    if n < 2:
-        raise AdmissibilityError(f"need at least 2 samples, got n={n}")
+    _check_sample_count(n)
     return np.arange(n, dtype=float) / (n - 1)
 
 
@@ -56,8 +64,7 @@ class TimeSeries:
 
 def sample(spec: "SignalSpec", n: int) -> TimeSeries:
     """Sample a signal at the n uniform grid points of [0, 1]."""
-    if n < 2:
-        raise AdmissibilityError(f"need at least 2 samples, got n={n}")
+    _check_sample_count(n)
     return TimeSeries(spec.sample_values(n))
 
 
@@ -67,7 +74,7 @@ def perturb(ts: TimeSeries, j: int, eps: float) -> TimeSeries:
     Every other entry is bit-identical to the input.
     """
     if not 1 <= j <= ts.n:
-        raise IndexError(f"index j={j} outside 1..{ts.n}")
+        raise DomainError(f"index j={j} outside 1..{ts.n}")
     values = ts.values.copy()
     values[j - 1] += eps
     return TimeSeries(values)
@@ -133,4 +140,8 @@ def _malformed_row(lines) -> DomainError:
 
 def read_csv(path) -> TimeSeries:
     with open(path, "r", newline="") as fh:
-        return from_csv_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"series file {str(path)!r} is not text: {exc}") from None
+    return from_csv_text(text)

@@ -4,7 +4,9 @@ Closed-form variants (Weierstrass, Oscillation, Affine, Constant) evaluate
 anywhere on [0, 1].  Grid-defined variants (PeriodicInterp, Alternating) are
 defined directly on the N-point sample grid; their continuous version is the
 linear spline through the sample points and is only needed for box counting
-and plotting (see :func:`as_callable`).
+and plotting (see :func:`as_callable`).  The evaluators ``eval_weierstrass``,
+``eval_oscillation`` and ``eval_spline`` are looked up here at each call, so
+a profiler can rebind them; the package root exports the specs instead.
 
 The Weierstrass sum is evaluated in double precision, which sets a floor
 on its accuracy.  Term j has the phase lam**j * t, and once lam**j passes
@@ -24,7 +26,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .series import TimeSeries, sample_grid
+from .series import TimeSeries, _check_sample_count, sample_grid
 
 # Requested truncation tail of the Weierstrass sum.  Below the precision
 # floor of weierstrass_error_bound it only asks for terms the cap withholds.
@@ -152,22 +154,14 @@ def eval_oscillation(t, c: float):
     # |f| <= t**2: where t**2 underflows to 0 (t = 0 included) the double
     # result is 0, even though c/t may have overflowed and poisoned the sine
     out[t_sq == 0.0] = 0.0
+    # elsewhere a huge c can still overflow c/t, and the sine of inf is NaN;
+    # every value is at most 1 in size, so only a NaN makes the sum NaN
+    if math.isnan(np.sum(out)):
+        bad = float(arr[np.isnan(out)][0])
+        raise DomainError(
+            f"oscillation signal t**2 * sin({c!r}/t) is not finite at t={bad!r}: c/t overflows"
+        )
     return _maybe_scalar(arr, out)
-
-
-def eval_affine(t, a: float, b: float):
-    """a*t + b; DomainError where it overflows."""
-    arr = _as_unit_interval(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a * arr + b
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"affine signal {a!r}*t + {b!r} overflows on [0, 1]")
-    return _maybe_scalar(arr, out)
-
-
-def eval_constant(t, c: float):
-    arr = _as_unit_interval(t)
-    return _maybe_scalar(arr, np.full_like(arr, float(c)))
 
 
 def eval_spline(t, knot_values: TimeSeries):
@@ -179,34 +173,6 @@ def eval_spline(t, knot_values: TimeSeries):
     arr = _as_unit_interval(t)
     out = np.interp(arr, knot_values.grid, knot_values.values)
     return _maybe_scalar(arr, out)
-
-
-def make_periodic_series(n: int, values) -> TimeSeries:
-    """Series X(j) = c[((j-1) mod kappa) + 1] for a coefficient vector c."""
-    coeffs = np.asarray(values, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size < 1:
-        raise DomainError("need a non-empty coefficient vector")
-    if not np.all(np.isfinite(coeffs)):
-        raise DomainError("coefficients must be finite")
-    if n < 2:
-        raise AdmissibilityError(f"need at least 2 samples, got n={n}")
-    kappa = coeffs.size
-    if kappa > (n + 1) // 2:
-        raise AdmissibilityError(
-            f"period kappa={kappa} exceeds ceil(n/2)={(n + 1) // 2} for n={n}"
-        )
-    reps = -(-n // kappa)
-    return TimeSeries(np.tile(coeffs, reps)[:n])
-
-
-def make_alternating_series(n: int, c1: float, c2: float) -> TimeSeries:
-    """Series with X(j) = c1 for odd j and c2 for even j."""
-    if c1 == c2:
-        raise DomainError("c1 and c2 must differ (use Constant for c1 == c2)")
-    if n < 2:
-        raise AdmissibilityError(f"need at least 2 samples, got n={n}")
-    j = np.arange(1, n + 1)
-    return TimeSeries(np.where(j % 2 == 1, float(c1), float(c2)))
 
 
 @dataclass(frozen=True)
@@ -250,10 +216,16 @@ class Affine:
         _require_finite(self, "a", "b")
 
     def evaluate(self, t):
-        return eval_affine(t, self.a, self.b)
+        """a*t + b; DomainError where it overflows."""
+        arr = _as_unit_interval(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.a * arr + self.b
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"affine signal {self.a!r}*t + {self.b!r} overflows on [0, 1]")
+        return _maybe_scalar(arr, out)
 
     def sample_values(self, n: int) -> np.ndarray:
-        return eval_affine(sample_grid(n), self.a, self.b)
+        return self.evaluate(sample_grid(n))
 
 
 @dataclass(frozen=True)
@@ -264,10 +236,11 @@ class Constant:
         _require_finite(self, "c")
 
     def evaluate(self, t):
-        return eval_constant(t, self.c)
+        arr = _as_unit_interval(t)
+        return _maybe_scalar(arr, np.full_like(arr, float(self.c)))
 
     def sample_values(self, n: int) -> np.ndarray:
-        return eval_constant(sample_grid(n), self.c)
+        return self.evaluate(sample_grid(n))
 
 
 @dataclass(frozen=True)
@@ -285,7 +258,14 @@ class PeriodicInterp:
         object.__setattr__(self, "values", coeffs)
 
     def sample_values(self, n: int) -> np.ndarray:
-        return make_periodic_series(n, self.values).values
+        """X(j) = c[((j-1) mod kappa) + 1] for j = 1..n, kappa <= ceil(n/2)."""
+        _check_sample_count(n)
+        kappa = len(self.values)
+        if kappa > (n + 1) // 2:
+            raise AdmissibilityError(
+                f"period kappa={kappa} exceeds ceil(n/2)={(n + 1) // 2} for n={n}"
+            )
+        return np.tile(np.array(self.values), -(-n // kappa))[:n]
 
 
 @dataclass(frozen=True)
@@ -299,7 +279,10 @@ class Alternating:
             raise DomainError("c1 and c2 must differ (use Constant for c1 == c2)")
 
     def sample_values(self, n: int) -> np.ndarray:
-        return make_alternating_series(n, self.c1, self.c2).values
+        """X(j) = c1 for odd j and c2 for even j, j = 1..n."""
+        _check_sample_count(n)
+        j = np.arange(1, n + 1)
+        return np.where(j % 2 == 1, float(self.c1), float(self.c2))
 
 
 SignalSpec = Union[Weierstrass, Oscillation, Affine, Constant, PeriodicInterp, Alternating]

@@ -51,11 +51,7 @@ class StabilityReport:
 
 
 def stability_report(
-    ts: TimeSeries,
-    k_max: int,
-    j: int = DEFAULT_INDEX,
-    eps: float = DEFAULT_EPS,
-    detail: bool = False,
+    ts: TimeSeries, k_max: int, j: int = DEFAULT_INDEX, eps: float = DEFAULT_EPS
 ) -> StabilityReport:
     """Run the estimator on ``ts`` and on its perturbed copy and compare.
 
@@ -63,8 +59,8 @@ def stability_report(
     series uses; ``vanished`` flags strides that dropped out (a floating-
     point coincidence, normally empty).
     """
-    base = hfd(ts, k_max, detail=detail)
-    pert = hfd(perturb(ts, j, eps), k_max, detail=detail)
+    base = hfd(ts, k_max)
+    pert = hfd(perturb(ts, j, eps), k_max)
     base_set = set(base.index_set)
     new_rows = [i for i, k in enumerate(pert.index_set) if k not in base_set]
     new_points = pert.points[new_rows].reshape(len(new_rows), 2)

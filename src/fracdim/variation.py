@@ -59,13 +59,6 @@ class Partition:
         return Partition(np.sort(np.append(self.points, float(t))))
 
 
-def uniform_partition(n_points: int) -> Partition:
-    """n_points equally spaced points spanning [0, 1]."""
-    if n_points < 2:
-        raise DomainError(f"need at least 2 points, got {n_points}")
-    return Partition(np.arange(n_points, dtype=float) / (n_points - 1))
-
-
 def _partition_sum(values: np.ndarray) -> float:
     """Sum of |v_i - v_{i-1}|, accumulated left to right."""
     return float(np.cumsum(np.abs(np.diff(values)))[-1])

@@ -180,6 +180,12 @@ class TestTv:
         assert lines[0] == "N,V_nkm,V_PN,e_N"
         assert len(lines) == 3
 
+    def test_empty_grid_means_no_grid(self, tmp_path):
+        plain, empty = tmp_path / "plain.csv", tmp_path / "empty.csv"
+        assert run_cli("tv", "--signal", "oscillation", "--levels", "3", "--out", str(plain)) == 0
+        assert run_cli("tv", "--signal", "oscillation", "--levels", "3", "--n-grid", "", "--out", str(empty)) == 0
+        assert empty.read_text() == plain.read_text()
+
     def test_json_estimate(self, tmp_path):
         out = tmp_path / "tv.json"
         run_cli("tv", "--signal", "affine", "--levels", "3", "--format", "json", "--out", str(out))
@@ -356,6 +362,57 @@ class TestOutputRule:
     def test_non_number_parameter_exits_2(self, signal, capsys):
         assert run_cli("gen", "--signal", signal, "--n", "10") == 2
         assert "must be" in capsys.readouterr().err
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so that an uncaught exception shows
+    as a traceback on stderr."""
+    return subprocess.run([sys.executable, "-m", "fracdim.cli", *argv], capture_output=True, text=True)
+
+
+NOT_TEXT = "<file holding the bytes ff fe>"
+
+# argv and a part of the message; the first five exited 2 only through a
+# catch-all ValueError clause before, the others too
+BAD_INPUTS = {
+    "n_grid_not_int": (["tv", "--signal", "oscillation", "--n-grid", "10,a"], "comma-separated integers"),
+    "eps_grid_not_number": (
+        ["stability", "--signal", "alternating", "--n", "100", "--kmax", "50", "--eps-grid", "1e-4,x"],
+        "comma-separated numbers",
+    ),
+    "only_not_int": (["verify", "--only", "x"], "comma-separated integers"),
+    "signal_not_json": (["gen", "--signal", "{bad", "--n", "10"], "not valid JSON"),
+    "csv_not_text": (["hfd", "--input", NOT_TEXT, "--kmax", "2"], "is not text"),
+    "signal_file_not_text": (["gen", "--signal", NOT_TEXT, "--n", "10"], "not valid JSON"),
+    "sweep_grid_not_int": (
+        ["sweep", "--signal", "oscillation", "--n-grid", "10,b", "--kmax", "3"], "comma-separated integers"
+    ),
+    "sweep_zero_step": (
+        ["sweep", "--signal", "oscillation", "--n-min", "10", "--n-max", "20", "--n-step", "0", "--kmax", "3"],
+        "--n-step must not be 0",
+    ),
+    "n_beyond_array_size": (["gen", "--signal", "constant", "--n", str(10**20)], "at most"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_2_with_message(self, case, tmp_path):
+        not_text = tmp_path / "not_text"
+        not_text.write_bytes(b"\xff\xfe")
+        argv, message = BAD_INPUTS[case]
+        proc = run_cli_process(*[str(not_text) if a == NOT_TEXT else a for a in argv])
+        assert proc.returncode == 2
+        assert "error: " in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("index", ["0", "101"])
+    def test_bump_index_outside_series(self, index):
+        argv = ["stability", "--signal", "alternating", "--n", "100", "--kmax", "50", "--index", index]
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 2
+        assert f"error: index j={index} outside 1..100" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerifyCommand:

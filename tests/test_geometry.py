@@ -10,13 +10,11 @@ from fracdim import (
     Oscillation,
     TimeSeries,
     Weierstrass,
-    area_from_count,
     box_count,
     box_dim_estimate,
     curve_lengths,
     geometric_hfd,
     hfd,
-    make_alternating_series,
     sample,
     tilde_lengths,
 )
@@ -63,9 +61,13 @@ class TestBoxCount:
 
 class TestAreaFromCount:
     def test_values(self):
-        assert area_from_count(0.25, 5) == 0.3125
-        assert area_from_count(0.17, 0) == 0.0
-        assert area_from_count(1.0, 42) == 42.0
+        # the area of M cells of side delta is delta**2 * M
+        flat = box_dim_estimate(Constant(0.1), delta_min=0.25, delta_max=1.0, levels=2)
+        assert flat.counts[0] == 5 and flat.areas[0] == 0.3125
+        steep = box_dim_estimate(Affine(40.0, 0.0), delta_min=0.25, delta_max=1.0, levels=2)
+        assert steep.deltas[1] == 1.0 and steep.counts[1] == 42 and steep.areas[1] == 42.0
+        for result in (flat, steep, box_dim_estimate(Oscillation(20.0), levels=4)):
+            assert np.array_equal(result.areas, result.deltas * result.deltas * result.counts)
 
 
 class TestBoxDimEstimate:
@@ -163,7 +165,7 @@ class TestGeometricHfd:
         assert abs(geometric_hfd(ts, 40) - 1.0) < 1e-9
 
     def test_alternating_gives_two(self):
-        ts = make_alternating_series(100, 0.4, 0.6)
+        ts = sample(Alternating(0.4, 0.6), 100)
         assert abs(geometric_hfd(ts, 50) - 2.0) < 1e-9
 
     def test_degenerate_falls_back_to_one(self):

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from fracdim import (
     Affine,
-    AdmissiblePair,
+    Alternating,
     Constant,
+    PeriodicInterp,
     TimeSeries,
-    check_admissible,
     curve_lengths,
     fit_lengths,
     hfd,
     increments_count,
-    make_alternating_series,
-    make_periodic_series,
     normalization_constant,
     regression_slope,
     sample,
@@ -36,14 +34,19 @@ ALTERNATING_01 = '{"kind": "alternating", "c1": 0.0, "c2": 1.0}'
 
 class TestAdmissibility:
     def test_boundaries(self):
-        check_admissible(2, 1)
-        check_admissible(11, 6)
-        check_admissible(100, 50)
+        for n, k_max in ((2, 1), (11, 6), (100, 50)):
+            assert hfd(TimeSeries(np.arange(n, dtype=float)), k_max).lengths.size == k_max
 
     @pytest.mark.parametrize("n,k_max", [(1, 1), (2, 2), (11, 7), (100, 51), (5, 0)])
     def test_rejections(self, n, k_max):
         with pytest.raises(AdmissibilityError):
-            AdmissiblePair(n, k_max)
+            hfd(TimeSeries(np.arange(n, dtype=float)), k_max)
+
+    def test_rejection_messages(self):
+        with pytest.raises(AdmissibilityError, match=r"^need 1 <= k_max <= ceil\(n/2\) = 6, got k_max=7$"):
+            hfd(TimeSeries(np.zeros(11)), 7)
+        with pytest.raises(AdmissibilityError, match=r"^a time series needs at least 2 values$"):
+            hfd(TimeSeries(np.zeros(1)), 1)
 
 
 class TestIncrementsCount:
@@ -94,7 +97,7 @@ class TestVariationSum:
                 assert variation_sum(ts, k, m) == 0.0
 
     def test_alternating_unit_stride(self):
-        ts = make_alternating_series(100, 0.4, 0.6)
+        ts = sample(Alternating(0.4, 0.6), 100)
         assert variation_sum(ts, 1, 1) == pytest.approx(abs(0.6 - 0.4) * 99, rel=1e-14)
 
     def test_zero_increments_returns_zero(self):
@@ -111,7 +114,7 @@ class TestCurveLengths:
 
     def test_alternating_closed_forms(self):
         n = 100
-        ts = make_alternating_series(n, 0.4, 0.6)
+        ts = sample(Alternating(0.4, 0.6), n)
         lengths = curve_lengths(ts, 50)
         gap = abs(0.4 - 0.6)
         for k in range(1, 51):
@@ -121,7 +124,7 @@ class TestCurveLengths:
                 assert lengths[k - 1] == 0.0
 
     def test_periodic_multiples_vanish(self):
-        ts = make_periodic_series(150, (1.0, 1.1, 1.3, 1.4, 1.3, 1.4, 1.3, 1.4, 1.3, 1.1))
+        ts = sample(PeriodicInterp((1.0, 1.1, 1.3, 1.4, 1.3, 1.4, 1.3, 1.4, 1.3, 1.1)), 150)
         lengths = curve_lengths(ts, 30)
         assert lengths[9] == 0.0 and lengths[19] == 0.0 and lengths[29] == 0.0
         others = [lengths[k - 1] for k in range(1, 31) if k % 10 != 0]
@@ -191,7 +194,7 @@ class TestHfd:
         assert abs(result.slope - 1.0) < 1e-9
 
     def test_alternating_dimension_two(self):
-        result = hfd(make_alternating_series(100, 0.4, 0.6), 50)
+        result = hfd(sample(Alternating(0.4, 0.6), 100), 50)
         assert abs(result.slope - 2.0) < 1e-9
         assert result.index_set == tuple(range(1, 50, 2))
 
@@ -211,7 +214,7 @@ class TestHfd:
         assert hfd(ts, 40).slope == hfd(neg, 40).slope
 
     def test_index_set_membership_matches_positive_sums(self):
-        ts = make_periodic_series(60, (0.0, 1.0, 2.0))
+        ts = sample(PeriodicInterp((0.0, 1.0, 2.0)), 60)
         k_max = 30
         result = hfd(ts, k_max)
         for k in range(1, k_max + 1):
@@ -224,7 +227,7 @@ class TestHfd:
         assert curve_lengths(ts, 2)[0] == variation_sum(ts, 1, 1)
 
     def test_detail_rows_consistent(self):
-        ts = make_alternating_series(20, 0.0, 1.0)
+        ts = sample(Alternating(0.0, 1.0), 20)
         result = hfd(ts, 4, detail=True)
         assert result.detail is not None
         for row in result.detail:
@@ -242,7 +245,7 @@ class TestHfd:
         assert len(payload["L"]) == 5
 
     def test_points_csv(self, capsys):
-        result = hfd(make_alternating_series(10, 0.0, 1.0), 5)
+        result = hfd(sample(Alternating(0.0, 1.0), 10), 5)
         assert main(["hfd", "--signal", ALTERNATING_01, "--n", "10", "--kmax", "5", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "k,log_inv_k,log_L"
@@ -252,7 +255,7 @@ class TestHfd:
         assert float(x) == result.points[0, 0] and float(y) == result.points[0, 1]
 
     def test_points_use_natural_log(self):
-        ts = make_alternating_series(100, 0.4, 0.6)
+        ts = sample(Alternating(0.4, 0.6), 100)
         result = hfd(ts, 50)
         lengths = curve_lengths(ts, 50)
         for (x, y), k in zip(result.points, result.index_set):

@@ -17,7 +17,6 @@ from fracdim import (
     PeriodicInterp,
     TimeSeries,
     Weierstrass,
-    check_admissible,
     curve_lengths,
     fit_lengths,
     geometric_hfd,
@@ -37,7 +36,7 @@ from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS
 
 def oracle_length_table(ts, k_max, want_detail):
     n = ts.n
-    check_admissible(n, k_max)
+    assert 1 <= k_max <= ceil_half(n)
     lengths = np.zeros(k_max)
     detail = [] if want_detail else None
     for k in range(1, k_max + 1):
@@ -58,7 +57,7 @@ def oracle_length_table(ts, k_max, want_detail):
 
 def oracle_tilde_lengths(ts, k_max):
     n = ts.n
-    check_admissible(n, k_max)
+    assert 1 <= k_max <= ceil_half(n)
     out = np.zeros(k_max)
     for k in range(1, k_max + 1):
         terms = []

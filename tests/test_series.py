@@ -6,17 +6,19 @@ import pytest
 
 from fracdim import (
     Affine,
+    Alternating,
     Constant,
     DomainError,
+    PeriodicInterp,
     TimeSeries,
     Weierstrass,
-    eval_weierstrass,
     perturb,
     sample,
     sample_grid,
 )
 from fracdim.errors import AdmissibilityError
 from fracdim.series import from_csv_text, read_csv, to_csv_text, write_csv
+from fracdim.signals import eval_weierstrass
 
 
 class TestTimeSeries:
@@ -56,6 +58,14 @@ class TestSample:
         with pytest.raises(AdmissibilityError):
             sample(Constant(1.0), 1)
 
+    def test_more_samples_than_an_array_holds_rejected(self):
+        # numpy refuses such a size before allocating; the check names it
+        grids = (sample_grid, Alternating(0.0, 1.0).sample_values, PeriodicInterp((1.0, 2.0)).sample_values)
+        for n in (2**61, 10**20):
+            for grid in grids + (lambda n: sample(Constant(1.0), n),):
+                with pytest.raises(AdmissibilityError, match="at most"):
+                    grid(n)
+
     def test_affine_second_differences_within_ulp(self):
         ts = sample(Affine(-7.3, 2.1), 400)
         second = np.diff(ts.values, n=2)
@@ -82,7 +92,7 @@ class TestPerturb:
     @pytest.mark.parametrize("j", [0, -1, 4])
     def test_out_of_range_index(self, j):
         ts = TimeSeries(np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError, match="outside 1..3"):
             perturb(ts, j, 0.1)
 
     def test_other_entries_bit_identical(self):
@@ -122,6 +132,12 @@ class TestCsv:
         path = tmp_path / "series.csv"
         write_csv(ts, path)
         assert np.array_equal(read_csv(path).values, ts.values)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(DomainError, match="is not text"):
+            read_csv(path)
 
     def test_wrong_header_rejected(self):
         with pytest.raises(DomainError):

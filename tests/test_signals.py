@@ -19,19 +19,13 @@ from fracdim import (
     TimeSeries,
     Weierstrass,
     as_callable,
-    eval_affine,
-    eval_constant,
-    eval_oscillation,
-    eval_spline,
-    eval_weierstrass,
-    make_alternating_series,
-    make_periodic_series,
+    sample,
     spec_from_dict,
     spec_to_dict,
     weierstrass_term_count,
 )
 from fracdim.errors import AdmissibilityError
-from fracdim.signals import weierstrass_error_bound
+from fracdim.signals import eval_oscillation, eval_spline, eval_weierstrass, weierstrass_error_bound
 
 
 class TestWeierstrass:
@@ -160,8 +154,15 @@ class TestOscillation:
         # oracle: the formula with a safe divisor and two masks, allocating
         # a fresh array per step
         rng = np.random.default_rng(5)
-        t = np.concatenate(([0.0, 5e-324, 1e-170, 1e-150, 1e-3, 1.0], rng.uniform(0.0, 1.0, 1000)))
+        t_all = np.concatenate(([0.0, 5e-324, 1e-170, 1e-150, 1e-3, 1.0], rng.uniform(0.0, 1.0, 1000)))
         for c in (20.0, 3.0, 1e300):
+            t = t_all
+            if c == 1e300:
+                # c/t overflows at t = 1e-150, where t**2 does not underflow:
+                # a DomainError, not the NaN of the formula
+                with pytest.raises(DomainError, match="overflows"):
+                    eval_oscillation(t_all, c)
+                t = np.delete(t_all, 3)
             safe = np.where(t == 0.0, 1.0, t)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 expected = np.where(t == 0.0, 0.0, t * t * np.sin(c / safe))
@@ -175,23 +176,31 @@ class TestOscillation:
         with pytest.raises(DomainError):
             Oscillation(0.0)
 
+    def test_overflowing_rate_raises_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            eval_oscillation(1e-150, 1e300)
+        with pytest.raises(DomainError, match="overflows"):
+            Oscillation(1e300).evaluate(np.array([0.0, 0.5, 1e-150]))
+        # t**2 underflows to 0 at t = 1e-170, so the value there is 0
+        assert Oscillation(1e300).evaluate(1e-170) == 0.0
+
 
 def test_affine_overflow_raises_domain_error():
     with pytest.raises(DomainError, match="overflows"):
-        eval_affine(np.array([0.0, 1.0]), 1.7e308, 1.7e308)
+        Affine(1.7e308, 1.7e308).evaluate(np.array([0.0, 1.0]))
     with pytest.raises(DomainError, match="overflows"):
         Affine(1.7e308, 1.7e308).sample_values(3)
 
 
 def test_affine_and_constant_values():
-    assert eval_affine(0.0, 2.0, 1.0) == 1.0
-    assert eval_affine(1.0, 2.0, 1.0) == 3.0
-    assert eval_constant(0.5, 7.0) == 7.0
-    assert eval_affine(0.5, 0.0, 7.0) == 7.0
+    assert Affine(2.0, 1.0).evaluate(0.0) == 1.0
+    assert Affine(2.0, 1.0).evaluate(1.0) == 3.0
+    assert Constant(7.0).evaluate(0.5) == 7.0
+    assert Affine(0.0, 7.0).evaluate(0.5) == 7.0
 
 
 def test_evaluators_reject_points_outside_unit_interval():
-    for fn in (lambda t: eval_affine(t, 1.0, 0.0), lambda t: eval_oscillation(t, 2.0)):
+    for fn in (Affine(1.0, 0.0).evaluate, lambda t: eval_oscillation(t, 2.0)):
         with pytest.raises(DomainError):
             fn(-0.1)
         with pytest.raises(DomainError):
@@ -201,47 +210,47 @@ def test_evaluators_reject_points_outside_unit_interval():
 class TestPeriodicSeries:
     def test_demo_coefficients(self):
         coeffs = (1.0, 1.1, 1.3, 1.4, 1.3, 1.4, 1.3, 1.4, 1.3, 1.1)
-        ts = make_periodic_series(150, coeffs)
+        ts = sample(PeriodicInterp(coeffs), 150)
         assert ts.values[0] == 1.0
         assert ts.values[10] == 1.0
         assert ts.values[11] == 1.1
 
     def test_single_coefficient_gives_constant(self):
-        ts = make_periodic_series(6, (7.0,))
+        ts = sample(PeriodicInterp((7.0,)), 6)
         assert np.array_equal(ts.values, np.full(6, 7.0))
 
     def test_two_coefficients_alternate(self):
-        ts = make_periodic_series(7, (0.0, 1.0))
+        ts = sample(PeriodicInterp((0.0, 1.0)), 7)
         assert list(ts.values) == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
 
     def test_period_longer_than_half_rejected(self):
         with pytest.raises(AdmissibilityError):
-            make_periodic_series(5, (1.0, 2.0, 3.0, 4.0))
+            sample(PeriodicInterp((1.0, 2.0, 3.0, 4.0)), 5)
 
     def test_empty_coefficients_rejected(self):
         with pytest.raises(DomainError):
-            make_periodic_series(5, ())
+            sample(PeriodicInterp(()), 5)
 
 
 class TestAlternatingSeries:
     def test_basic_pattern(self):
-        ts = make_alternating_series(4, 0.0, 1.0)
+        ts = sample(Alternating(0.0, 1.0), 4)
         assert list(ts.values) == [0.0, 1.0, 0.0, 1.0]
 
     def test_demo_input(self):
-        ts = make_alternating_series(100, 0.4, 0.6)
+        ts = sample(Alternating(0.4, 0.6), 100)
         assert ts.n == 100
         assert ts.values[0] == 0.4 and ts.values[1] == 0.6 and ts.values[99] == 0.6
 
     @pytest.mark.parametrize("n", [3, 4, 7, 100])
     def test_equals_two_coefficient_periodic(self, n):
-        alt = make_alternating_series(n, 0.4, 0.6)
-        per = make_periodic_series(n, (0.4, 0.6))
+        alt = sample(Alternating(0.4, 0.6), n)
+        per = sample(PeriodicInterp((0.4, 0.6)), n)
         assert np.array_equal(alt.values, per.values)
 
     def test_equal_values_rejected(self):
         with pytest.raises(DomainError):
-            make_alternating_series(10, 0.5, 0.5)
+            sample(Alternating(0.5, 0.5), 10)
         with pytest.raises(DomainError):
             Alternating(0.5, 0.5)
 

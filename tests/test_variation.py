@@ -16,7 +16,6 @@ from fracdim import (
     sample,
     sample_grid,
     total_variation_estimate,
-    uniform_partition,
     variation_convergence_check,
     variation_over_partition,
     variation_sum,
@@ -63,7 +62,7 @@ class TestPartition:
         assert refined.refine_with(0.25) is refined
 
     def test_uniform_partition(self):
-        part = uniform_partition(5)
+        part = Partition(sample_grid(5))
         assert np.array_equal(part.points, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
 
 
@@ -76,14 +75,14 @@ class TestVariationOverPartition:
             assert variation_over_partition(Affine(1.0, 0.0), part) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_is_zero(self):
-        part = uniform_partition(100)
+        part = Partition(sample_grid(100))
         assert variation_over_partition(Constant(8.0), part) == 0.0
 
     def test_oscillation_against_finer_partition(self):
         # Tail oscillations below the mesh make this converge like
         # 1/sqrt(points), so a 10x finer oracle agrees only to ~1e-1.
-        coarse = variation_over_partition(Oscillation(20.0), uniform_partition(10**5))
-        oracle = variation_over_partition(Oscillation(20.0), uniform_partition(10**6))
+        coarse = variation_over_partition(Oscillation(20.0), Partition(sample_grid(10**5)))
+        oracle = variation_over_partition(Oscillation(20.0), Partition(sample_grid(10**6)))
         assert abs(coarse - oracle) < 0.1
 
     def test_partition_outside_unit_interval_rejected(self):
@@ -149,7 +148,9 @@ class TestTotalVariationEstimate:
         with pytest.raises(DomainError, match="overflows"):
             total_variation_estimate(Affine(1.7e308, 1.7e308), 2)
         with pytest.raises(DomainError, match="overflows"):
-            variation_over_partition(Affine(1.7e308, 1.7e308), uniform_partition(4))
+            variation_over_partition(Affine(1.7e308, 1.7e308), Partition(sample_grid(4)))
+        with pytest.raises(DomainError, match="overflows"):
+            variation_over_partition(Oscillation(1e300), Partition([0.0, 1e-150, 1.0]))
 
     def test_needs_two_levels(self):
         with pytest.raises(DomainError):
