@@ -57,6 +57,8 @@ def box_count(
     if samples_per_column < 2:
         raise DomainError(f"need at least 2 samples per column, got {samples_per_column}")
     f = as_callable(spec, n_samples=n_samples)
+    if math.isinf(1.0 / delta):
+        raise DomainError(f"mesh size {delta!r} is too fine: 1/delta overflows")
     n_cols = int(math.floor(1.0 / delta)) + 1
     if n_cols * samples_per_column > 50_000_000:
         raise DomainError(

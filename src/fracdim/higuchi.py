@@ -17,16 +17,25 @@ at a time by :func:`_stride_table`.  Its summation order is fixed, because
 the exact zero test on L(k) and the frozen golden values depend on every
 bit: each V(k, m) is a sequential column ``cumsum`` over i = 1..q, the order
 of :func:`variation_sum`, and each per-stride average is the Python ``sum``
-of the terms in ascending m.  From Python 3.12 on ``sum`` of floats is
-compensated, so no numpy reduction could stand in for it on every supported
-interpreter.  A non-finite length or area, which finite values reach only
-through overflow, raises :class:`DomainError` naming the stride.
+of the terms in ascending m (:func:`_stride_mean`).  From Python 3.12 on
+``sum`` of floats is compensated, so no numpy reduction could stand in for
+it on every supported interpreter.  A non-finite length or area, which
+finite values reach only through overflow, raises :class:`DomainError`
+naming the stride.
+
+For the bump experiments of :mod:`fracdim.stability`, :func:`_length_table`
+keeps every length term of the unperturbed series.  A bump at sample j
+changes one offset per stride, m = (j-1) mod k + 1, so
+:func:`_bumped_lengths` recomputes just that column V(k, m) per stride, in
+the same ascending-i order (:func:`_touched_columns`), replaces its term and
+averages the stride again with :func:`_stride_mean`: bit-identical to
+:func:`curve_lengths` of the bumped series.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -109,33 +118,97 @@ def _stride_table(values: np.ndarray, k: int):
     return m[keep], (n - 1) / (q[keep] * k), v[keep]
 
 
-def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None) -> np.ndarray:
+def _stride_mean(k: int, terms: list, what: str) -> float:
+    """Python ``sum`` of stride k's terms, in ascending m, over their count.
+    ``what`` names the averaged quantity in the DomainError raised for a
+    non-finite average."""
+    mean = sum(terms) / len(terms)
+    if not math.isfinite(mean):
+        raise DomainError(
+            f"the {what} at stride k={k} is not finite: the series overflows in floating point"
+        )
+    return mean
+
+
+def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kept=None) -> np.ndarray:
     """Per-stride averages of ``term(k, C, V)`` over the offsets with an
-    increment, k = 1..k_max; each (k, m) row is appended to ``rows`` when
-    given.  ``what`` names the averaged quantity in the DomainError raised
-    for a non-finite average."""
+    increment, k = 1..k_max; each (k, m) row is appended to ``rows`` and
+    each stride's list of terms to ``kept`` when given."""
     _check_admissible(ts.n, k_max)
     out = np.zeros(k_max)
     with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
         for k in range(1, k_max + 1):
             m, c, v = _stride_table(ts.values, k)
-            terms = term(k, c, v)
-            mean = sum(terms.tolist()) / terms.size
-            if not math.isfinite(mean):
-                raise DomainError(
-                    f"the {what} at stride k={k} is not finite: the series overflows in floating point"
-                )
-            out[k - 1] = mean
+            terms = term(k, c, v).tolist()
+            out[k - 1] = _stride_mean(k, terms, what)
+            if kept is not None:
+                kept.append(terms)
             if rows is not None:
                 rows.extend(
-                    DetailRow(k, *row)
-                    for row in zip(m.tolist(), c.tolist(), v.tolist(), terms.tolist())
+                    DetailRow(k, *row) for row in zip(m.tolist(), c.tolist(), v.tolist(), terms)
                 )
     return out
 
 
 def _length_terms(k: int, c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return c * v / k
+
+
+def _length_table(ts: TimeSeries, k_max: int) -> Tuple[np.ndarray, List[List[float]]]:
+    """The lengths L(1..k_max), equal to :func:`curve_lengths`, and the
+    length terms C * V / k they average, one list per stride in ascending m,
+    kept so that :func:`_bumped_lengths` can replace one term per stride."""
+    terms: List[List[float]] = []
+    return _stride_averages(ts, k_max, _length_terms, "length", kept=terms), terms
+
+
+def _touched_columns(values: np.ndarray, j: int, k_max: int):
+    """Strides k whose offset m = (j-1) mod k + 1, the one holding sample j,
+    has an increment; with that offset, its count q and its sum V(k, m) over
+    ``values``.
+
+    Each V adds |X(m+ik) - X(m+(i-1)k)| in ascending i, like the kernel's
+    column ``cumsum``.  The columns of strides [k0, 2*k0) share one
+    ``cumsum`` along rows padded with trailing zeros, which leave a
+    sequential sum unchanged; such a block holds at most N - 1 entries.
+    """
+    n = values.size
+    k = np.arange(1, k_max + 1)
+    m = (j - 1) % k + 1
+    q = (n - m) // k
+    keep = q >= 1
+    k, m, q = k[keep], m[keep], q[keep]
+    v = np.empty(k.size)
+    lo = 0
+    while lo < k.size:
+        hi = int(np.searchsorted(k, 2 * k[lo]))
+        kb, mb, qb = k[lo:hi, None], m[lo:hi, None], q[lo:hi, None]
+        i = np.arange(qb.max())
+        inside = i < qb
+        start = np.where(inside, mb - 1 + i * kb, 0)
+        d = np.where(inside, np.abs(values[start + kb] - values[start]), 0.0)
+        v[lo:hi] = np.cumsum(d, axis=1)[:, -1]
+        lo = hi
+    return k, m, q, v
+
+
+def _bumped_lengths(lengths: np.ndarray, terms, values: np.ndarray, j: int) -> np.ndarray:
+    """The lengths of ``values``, a series that differs only at sample j from
+    the one whose :func:`_length_table` is ``lengths, terms``.
+
+    Only the term of the offset holding sample j changes in each stride; it
+    is recomputed as the table computes it, and the stride averaged again.
+    """
+    out = lengths.copy()
+    with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
+        ks, ms, qs, v = _touched_columns(values, j, lengths.size)
+        # C(n, k, m) as _stride_table computes it
+        new_terms = _length_terms(ks, (values.size - 1) / (qs * ks), v)
+    for k, m, term in zip(ks.tolist(), ms.tolist(), new_terms.tolist()):
+        row = terms[k - 1].copy()
+        row[m - 1] = term
+        out[k - 1] = _stride_mean(k, row, "length")
+    return out
 
 
 def curve_lengths(ts: TimeSeries, k_max: int) -> np.ndarray:
@@ -232,14 +305,19 @@ def hfd(ts: TimeSeries, k_max: int, detail: bool = False) -> HfdResult:
     """
     rows = [] if detail else None
     lengths = _stride_averages(ts, k_max, _length_terms, "length", rows)
+    return _hfd_result(ts.n, k_max, lengths, tuple(rows) if detail else None)
+
+
+def _hfd_result(n: int, k_max: int, lengths: np.ndarray, detail=None) -> HfdResult:
+    """Fit the lengths and wrap them in an :class:`HfdResult`."""
     slope, intercept, index_set, points = fit_lengths(lengths)
     return HfdResult(
-        n=ts.n,
+        n=n,
         k_max=k_max,
         lengths=lengths,
         index_set=index_set,
         points=points,
         slope=slope,
         intercept=intercept,
-        detail=tuple(rows) if detail else None,
+        detail=detail,
     )

@@ -40,7 +40,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 def _as_unit_interval(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
+    # written so that a NaN point, which compares false, fails the test
+    if arr.size and not (np.min(arr) >= 0.0 and np.max(arr) <= 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
     return arr
 
@@ -336,7 +337,10 @@ def spec_to_dict(spec: SignalSpec) -> dict:
 def _number(kind: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"signal kind '{kind}' field '{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"signal kind '{kind}' field '{key}' is beyond the float range") from None
 
 
 def spec_from_dict(data: dict) -> SignalSpec:

@@ -392,6 +392,13 @@ BAD_INPUTS = {
         "--n-step must not be 0",
     ),
     "n_beyond_array_size": (["gen", "--signal", "constant", "--n", str(10**20)], "at most"),
+    "mesh_inverse_overflows": (
+        ["boxdim", "--signal", "oscillation", "--delta-min", "5e-324", "--levels", "2"], "1/delta overflows"
+    ),
+    "signal_number_beyond_float": (
+        ["gen", "--signal", '{"kind": "constant", "c": 1' + "0" * 400 + "}", "--n", "3"],
+        "field 'c' is beyond the float range",
+    ),
 }
 
 

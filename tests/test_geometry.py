@@ -42,6 +42,8 @@ class TestBoxCount:
             box_count(Constant(0.0), 1.5)
         with pytest.raises(DomainError):
             box_count(Constant(0.0), 0.5, samples_per_column=1)
+        with pytest.raises(DomainError, match="1/delta overflows"):
+            box_count(Constant(0.0), 5e-324)
 
     def test_rejects_unaffordable_mesh(self):
         with pytest.raises(DomainError):

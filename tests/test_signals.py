@@ -207,6 +207,19 @@ def test_evaluators_reject_points_outside_unit_interval():
             fn(1.1)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [Weierstrass(5.0, 1.7), Oscillation(20.0), Affine(2.0, 1.0), Constant(1.0),
+     PeriodicInterp((1.0, 2.0)), Alternating(0.4, 0.6)],
+    ids=lambda spec: type(spec).__name__,
+)
+def test_nan_evaluation_point_rejected(spec):
+    f = as_callable(spec, n_samples=10)
+    for t in (math.nan, np.array([0.0, math.nan, 1.0])):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            f(t)
+
+
 class TestPeriodicSeries:
     def test_demo_coefficients(self):
         coeffs = (1.0, 1.1, 1.3, 1.4, 1.3, 1.4, 1.3, 1.4, 1.3, 1.1)
@@ -307,6 +320,8 @@ class TestSpecSerialization:
             ({"kind": "weierstrass", "lambda": {}, "s": 1.7}, "lambda"),
             ({"kind": "periodic", "values": 5}, "values"),
             ({"kind": "periodic", "values": [1.0, None]}, "values"),
+            ({"kind": "constant", "c": 10**400}, "c"),
+            ({"kind": "periodic", "values": [1.0, -(10**400)]}, "values"),
         ],
     )
     def test_non_number_field_rejected(self, data, field):

@@ -6,6 +6,7 @@ import pytest
 
 from fracdim import (
     Alternating,
+    TimeSeries,
     PeriodicInterp,
     Weierstrass,
     curve_lengths,
@@ -17,8 +18,10 @@ from fracdim import (
     stability_report,
     variation_sum,
 )
+from fracdim import higuchi
 from fracdim.acceptance import golden_values
 from fracdim.errors import DomainError
+from fracdim.higuchi import ceil_half
 from fracdim.cli import main
 from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS
 
@@ -165,6 +168,86 @@ class TestDivergenceTrace:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "eps,D_eps,min_log_L"
         assert len(lines) == 3
+
+
+def assert_same_result(got, expected):
+    assert got.lengths.tobytes() == expected.lengths.tobytes()
+    assert got.index_set == expected.index_set
+    assert got.points.tobytes() == expected.points.tobytes()
+    assert repr(got.slope) == repr(expected.slope)
+    assert repr(got.intercept) == repr(expected.intercept)
+
+
+def oracle_series(kind, n):
+    if kind == "alternating":
+        return sample(Alternating(*DEMO_ALTERNATING), n)
+    if kind == "periodic":
+        return sample(PeriodicInterp((1.0, 1.25, 1.5)), n)
+    return TimeSeries(np.random.default_rng(n).uniform(1.0, 2.0, n))
+
+
+# values lie in [0.4, 2): ulp <= 2.2e-16, so 1e-15 survives X(j) + eps and
+# 1e-17 is absorbed by it
+ORACLE_EPS = (1e-3, -2.5e-7, 1e-15, 1e-17)
+
+
+class TestIncrementalBump:
+    """The report recomputes one column per stride; it must equal running
+    the estimator on the bumped series, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["alternating", "periodic", "uniform"])
+    @pytest.mark.parametrize("n", [7, 8, 31, 40])
+    def test_every_index_matches_full_estimate(self, n, kind):
+        ts = oracle_series(kind, n)
+        k_max = ceil_half(n)
+        base = hfd(ts, k_max)
+        absorbed = 0
+        for j in range(1, n + 1):
+            for eps in ORACLE_EPS:
+                bumped = perturb(ts, j, eps)
+                absorbed += bool(np.array_equal(bumped.values, ts.values))
+                report = stability_report(ts, k_max, j=j, eps=eps)
+                assert_same_result(report.base, base)
+                assert_same_result(report.perturbed, hfd(bumped, k_max))
+        assert absorbed == n  # only the 1e-17 bump, at every j
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_trace_rows_match_full_estimates(self, alternating_series, j):
+        grid = (1e-4, 1e-8, 1e-12, 1e-17)
+        base = hfd(alternating_series, 50)
+        expected = []
+        for eps in grid:
+            pert = hfd(perturb(alternating_series, j, eps), 50)
+            logs = [float(y) for k, (_, y) in zip(pert.index_set, pert.points) if k not in base.index_set]
+            expected.append(repr((eps, pert.slope, min(logs) if logs else math.nan)))
+        rows = divergence_trace(alternating_series, 50, j, grid)
+        assert [repr(tuple(row)) for row in rows] == expected
+
+    def test_overflowing_bump_raises_like_full_estimate(self):
+        # finite base lengths; the bump makes |X(2) - X(1)| overflow
+        ts = TimeSeries(np.array([1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        hfd(ts, 4)
+        with pytest.raises(DomainError) as full:
+            hfd(perturb(ts, 2, -1e308), 4)
+        with pytest.raises(DomainError) as incremental:
+            stability_report(ts, 4, j=2, eps=-1e308)
+        assert str(incremental.value) == str(full.value)
+        assert "stride k=1" in str(incremental.value)
+        with pytest.raises(DomainError):
+            divergence_trace(ts, 4, 2, (1e308,))
+
+    def test_bump_to_non_finite_value_rejected(self):
+        ts = TimeSeries(np.array([1.7e308, 0.0, 1.0, 0.0]))
+        with pytest.raises(DomainError):
+            stability_report(ts, 2, j=1, eps=1e308)
+
+    @pytest.mark.parametrize("grid", [(1e-4,), (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)])
+    def test_trace_builds_the_base_table_once(self, alternating_series, grid, monkeypatch):
+        calls = []
+        real = higuchi._stride_table
+        monkeypatch.setattr(higuchi, "_stride_table", lambda *a: calls.append(a[1]) or real(*a))
+        divergence_trace(alternating_series, 50, 1, grid)
+        assert calls == list(range(1, 51))
 
 
 class TestSmoothInputsAreStable:
