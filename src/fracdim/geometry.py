@@ -11,7 +11,7 @@ mesh-area approximations at scale k/(N-1); regressing their logs against
 log(k/(N-1)) and subtracting the slope from 2 reproduces the estimator
 exactly, which :func:`geometric_hfd` implements.  The areas are averaged
 from the estimator's own (k, m, q, C, V) table in :mod:`fracdim.higuchi`,
-with the same fixed summation order (sequential column ``cumsum`` for V,
+with the same fixed summation order (sequential column accumulate for V,
 Python ``sum`` over ascending m), so lengths and areas share every V bit for
 bit and a non-finite area raises :class:`DomainError` as a length does.
 """
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .higuchi import _loglog_fit, _stride_averages, regression_slope
 from .series import TimeSeries
-from .signals import as_callable
+from .signals import _EVAL_LIMIT, as_callable
 
 DEFAULT_DELTA_MIN = 1e-3
 DEFAULT_DELTA_MAX = 1e-1
@@ -60,7 +60,7 @@ def box_count(
     if math.isinf(1.0 / delta):
         raise DomainError(f"mesh size {delta!r} is too fine: 1/delta overflows")
     n_cols = int(math.floor(1.0 / delta)) + 1
-    if n_cols * samples_per_column > 50_000_000:
+    if n_cols * samples_per_column > _EVAL_LIMIT:
         raise DomainError(
             f"mesh of {n_cols} columns x {samples_per_column} samples is too fine to evaluate"
         )

@@ -6,6 +6,7 @@ uses the 1-based convention.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,6 +21,17 @@ SERIES_CSV_HEADER = ("j", "t", "x")
 CSV_GRID_TOL = 1e-9
 # the length of the largest float64 array whose size in bytes numpy can hold
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
+
+
+def _integer(value, name: str, error) -> int:
+    """``value`` as an int; ``error`` naming ``name`` unless it is an integer
+    other than a bool (numpy integers pass)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _check_sample_count(n: int) -> None:
@@ -73,10 +85,14 @@ def perturb(ts: TimeSeries, j: int, eps: float) -> TimeSeries:
 
     Every other entry is bit-identical to the input.
     """
+    j = _integer(j, "index j", DomainError)
     if not 1 <= j <= ts.n:
         raise DomainError(f"index j={j} outside 1..{ts.n}")
     values = ts.values.copy()
-    values[j - 1] += eps
+    with np.errstate(over="ignore"):
+        values[j - 1] += eps
+    if not np.isfinite(values[j - 1]):
+        raise DomainError(f"the bumped value X({j}) + {eps!r} is not finite")
     return TimeSeries(values)
 
 

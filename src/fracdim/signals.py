@@ -32,6 +32,10 @@ from .series import TimeSeries, _check_sample_count, sample_grid
 # floor of weierstrass_error_bound it only asks for terms the cap withholds.
 DEFAULT_TAIL_TOL = 1e-15
 
+# Most points x terms (or columns x samples) one evaluation may hold in
+# memory; box counting and the Weierstrass sum share it.
+_EVAL_LIMIT = 50_000_000
+
 # Largest sine argument lam**j whose float phase is still meaningful, and
 # the unit roundoff of a double.
 _PHASE_LIMIT = 2.0**53
@@ -108,6 +112,17 @@ def weierstrass_term_count(lam: float, s: float, tail_tol: float = DEFAULT_TAIL_
     return _tail_count(ratio, tail_tol)
 
 
+def _evaluable_term_count(lam: float, s: float, tail_tol: float, points: int) -> int:
+    """:func:`weierstrass_term_count`; DomainError when its terms at
+    ``points`` points exceed ``_EVAL_LIMIT`` array elements (lam next to 1)."""
+    count = weierstrass_term_count(lam, s, tail_tol)
+    if max(points, 1) * count > _EVAL_LIMIT:
+        raise DomainError(
+            f"Weierstrass sum of {count} terms at {points} points is too large to evaluate"
+        )
+    return count
+
+
 def weierstrass_error_bound(lam: float, s: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Bound on |eval_weierstrass(t) - W(t)| for every float t in [0, 1],
     where W is the infinite sum at that same t.
@@ -120,7 +135,7 @@ def weierstrass_error_bound(lam: float, s: float, tail_tol: float = DEFAULT_TAIL
     rounding term is 2**-53 * sum of w_j * (2 * lam**j + J + 2) over j <= J,
     which the phase part, 2**-52 * sum of lam**((s-1)*j), dominates.
     """
-    count = weierstrass_term_count(lam, s, tail_tol)
+    count = _evaluable_term_count(lam, s, tail_tol, 1)
     j = np.arange(1, count + 1, dtype=float)
     weights = lam ** ((s - 2.0) * j)
     rounding = _UNIT_ROUNDOFF * float(np.sum(weights * (2.0 * lam**j + count + 2)))
@@ -132,7 +147,7 @@ def eval_weierstrass(t, lam: float, s: float, tail_tol: float = DEFAULT_TAIL_TOL
     :func:`weierstrass_term_count`; accurate to
     :func:`weierstrass_error_bound`."""
     arr = _as_unit_interval(t)
-    count = weierstrass_term_count(lam, s, tail_tol)
+    count = _evaluable_term_count(lam, s, tail_tol, arr.size)
     j = np.arange(1, count + 1, dtype=float)
     weights = lam ** ((s - 2.0) * j)
     angles = np.multiply.outer(arr, lam ** j)

@@ -68,14 +68,14 @@ def _unperturbed(ts: TimeSeries, k_max: int):
     """The estimate of ``ts``, equal to ``hfd(ts, k_max)``, and its per-stride
     length terms."""
     lengths, terms = _length_table(ts, k_max)
-    return _hfd_result(ts.n, k_max, lengths), terms
+    return _hfd_result(ts.n, lengths), terms
 
 
 def _bumped(base: HfdResult, terms, ts: TimeSeries, j: int, eps: float) -> HfdResult:
     """``hfd(perturb(ts, j, eps), k_max)``, from the unperturbed estimate and
     its terms."""
     lengths = _bumped_lengths(base.lengths, terms, perturb(ts, j, eps).values, j)
-    return _hfd_result(ts.n, base.k_max, lengths)
+    return _hfd_result(ts.n, lengths)
 
 
 def _compare(base: HfdResult, pert: HfdResult, j: int, eps: float) -> StabilityReport:

@@ -13,12 +13,15 @@ from fracdim import (
     PeriodicInterp,
     TimeSeries,
     curve_lengths,
+    divergence_trace,
     fit_lengths,
+    geometric_hfd,
     hfd,
     increments_count,
     normalization_constant,
     regression_slope,
     sample,
+    stability_report,
     variation_sum,
 )
 from fracdim.cli import main
@@ -47,6 +50,28 @@ class TestAdmissibility:
             hfd(TimeSeries(np.zeros(11)), 7)
         with pytest.raises(AdmissibilityError, match=r"^a time series needs at least 2 values$"):
             hfd(TimeSeries(np.zeros(1)), 1)
+
+    @pytest.mark.parametrize("entry", ["hfd", "curve_lengths", "geometric_hfd", "stability_report", "divergence_trace"])
+    @pytest.mark.parametrize("k_max", [2.0, 2.5, True, "2", None])
+    def test_non_integer_k_max_rejected(self, entry, k_max):
+        ts = sample(Alternating(0.4, 0.6), 10)
+        call = {
+            "hfd": lambda: hfd(ts, k_max),
+            "curve_lengths": lambda: curve_lengths(ts, k_max),
+            "geometric_hfd": lambda: geometric_hfd(ts, k_max),
+            "stability_report": lambda: stability_report(ts, k_max),
+            "divergence_trace": lambda: divergence_trace(ts, k_max, 1, [1e-3]),
+        }[entry]
+        with pytest.raises(AdmissibilityError, match=r"^k_max must be an integer, got "):
+            call()
+
+    @pytest.mark.parametrize("k_max", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_k_max_accepted(self, k_max):
+        ts = sample(Alternating(0.4, 0.6), 10)
+        res = hfd(ts, k_max)
+        assert type(res.k_max) is int and res.k_max == 3
+        assert np.array_equal(res.lengths, hfd(ts, 3).lengths)
+        assert geometric_hfd(ts, k_max) == geometric_hfd(ts, 3)
 
 
 class TestIncrementsCount:

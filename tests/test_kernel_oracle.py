@@ -4,11 +4,16 @@ The oracle below is the original double loop over strides and offsets, one
 ``variation_sum`` call per (k, m) and a Python ``sum`` per stride.  The table
 in :mod:`fracdim.higuchi` must reproduce it bit for bit: the exact zero test
 on L(k) and the frozen golden values leave no room for rounding changes.
+The table does its bookkeeping per block of strides, so the comparisons
+also run with blocks of one stride and of at most 7 cells.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdim import (
     Affine,
@@ -18,6 +23,7 @@ from fracdim import (
     TimeSeries,
     Weierstrass,
     curve_lengths,
+    divergence_trace,
     fit_lengths,
     geometric_hfd,
     hfd,
@@ -28,8 +34,9 @@ from fracdim import (
     tilde_lengths,
     variation_sum,
 )
+from fracdim import higuchi
 from fracdim.cli import main
-from fracdim.errors import DomainError
+from fracdim.errors import DomainError, FracdimError
 from fracdim.higuchi import DetailRow, ceil_half
 from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS
 
@@ -108,6 +115,8 @@ CASES = {
     "periodic-n150-k30": (sample(PeriodicInterp(DEMO_PERIODIC_COEFFS), 150), 30),
     "periodic-odd-n151-half": (sample(PeriodicInterp(DEMO_PERIODIC_COEFFS), 151), ceil_half(151)),
     "weierstrass-n421-half": (sample(Weierstrass(5.0, 1.7), 421), ceil_half(421)),
+    "alternating-odd-n31-half": (_alternating(31), ceil_half(31)),
+    "periodic-n40-half": (sample(PeriodicInterp(DEMO_PERIODIC_COEFFS), 40), 20),
     "affine-odd-n37-half": (sample(Affine(2.5, -1.0), 37), ceil_half(37)),
     "constant-odd-n11-half": (sample(Constant(3.7), 11), ceil_half(11)),
     "constant-n2": (sample(Constant(-1.0), 2), 1),
@@ -158,6 +167,47 @@ def test_detail_rows_bit_equal(case):
         assert row.v == variation_sum(ts, row.k, row.m)
 
 
+@pytest.mark.parametrize("cells", [1, 7])
+def test_small_blocks_bit_equal(case, cells, monkeypatch):
+    # blocks of one stride, or of at most 7 cells, end at (nearly) every
+    # stride; the tests above run the default block size
+    monkeypatch.setattr(higuchi, "_BLOCK_CELLS", cells)
+    ts, k_max, lengths, rows, areas = case
+    assert np.array_equal(curve_lengths(ts, k_max), lengths)
+    assert np.array_equal(tilde_lengths(ts, k_max), areas)
+    assert list(hfd(ts, k_max, detail=True).detail) == rows
+    assert geometric_hfd(ts, k_max) == oracle_geometric_hfd(ts, k_max)
+
+
+@pytest.mark.parametrize("cells", [1, 7, higuchi._BLOCK_CELLS])
+@pytest.mark.parametrize("name", sorted(name for name, (ts, _) in CASES.items() if ts.n <= 51))
+def test_stability_reports_bit_equal(name, cells, monkeypatch):
+    monkeypatch.setattr(higuchi, "_BLOCK_CELLS", cells)
+    # every bump index, so small series only
+    ts, k_max = CASES[name]
+    lengths, _ = oracle_length_table(ts, k_max, want_detail=False)
+    for j in range(1, ts.n + 1):
+        report = stability_report(ts, k_max, j=j, eps=1e-10)
+        bumped, _ = oracle_length_table(perturb(ts, j, 1e-10), k_max, want_detail=False)
+        assert np.array_equal(report.base.lengths, lengths)
+        assert np.array_equal(report.perturbed.lengths, bumped)
+        slope, _, index_set, _ = fit_lengths(bumped)
+        assert report.perturbed.index_set == index_set
+        assert report.perturbed.slope == slope
+
+
+@pytest.mark.parametrize("p", [-40, -3, 1, 17])
+def test_power_of_two_rescaling(case, p):
+    # a power-of-two factor scales every increment, sum and mean exactly;
+    # only the logarithms of the fit round differently
+    ts, k_max, lengths, _, _ = case
+    res = hfd(TimeSeries(ts.values * 2.0**p), k_max)
+    assert np.array_equal(res.lengths, lengths * 2.0**p)
+    base = hfd(ts, k_max)
+    assert res.index_set == base.index_set
+    assert abs(res.slope - base.slope) <= 1e-12
+
+
 OVERFLOWING = TimeSeries([1e308, -1e308] * 10)
 
 
@@ -193,3 +243,61 @@ class TestOverflow:
         assert code == 2
         assert "stride k=1" in err
         assert "NaN" not in out + err
+
+
+BIGGEST = 1.7976931348623157e308
+EXTREMES = st.sampled_from([0.0, 5e-324, 1e-300, 1e308, -1e308, BIGGEST, -BIGGEST])
+FINITE = st.floats(min_value=-BIGGEST, max_value=BIGGEST)
+
+
+@st.composite
+def overflow_inputs(draw):
+    values = draw(st.lists(st.one_of(FINITE, EXTREMES), min_size=2, max_size=24))
+    n = len(values)
+    k_max = draw(st.integers(1, ceil_half(n)))
+    j = draw(st.integers(1, n))
+    eps = draw(st.one_of(FINITE, EXTREMES))
+    grid = draw(st.lists(st.floats(min_value=5e-324, max_value=BIGGEST), min_size=1, max_size=4, unique=True))
+    return TimeSeries(values), k_max, j, eps, sorted(grid, reverse=True)
+
+
+def _finite_or_refused(fn):
+    """``fn()``, or None when it raises a FracdimError; a RuntimeWarning or
+    any other exception fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return fn()
+        except FracdimError:
+            return None
+
+
+def _assert_finite_result(res):
+    assert np.all(np.isfinite(res.lengths)) and np.all(np.isfinite(res.points))
+    assert math.isfinite(res.slope)
+    assert res.intercept is None or math.isfinite(res.intercept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(overflow_inputs())
+def test_finite_series_give_finite_results_or_refusals(inputs):
+    ts, k_max, j, eps, grid = inputs
+    res = _finite_or_refused(lambda: hfd(ts, k_max))
+    if res is not None:
+        _assert_finite_result(res)
+    lengths = _finite_or_refused(lambda: curve_lengths(ts, k_max))
+    assert lengths is None or np.all(np.isfinite(lengths))
+    d = _finite_or_refused(lambda: geometric_hfd(ts, k_max))
+    assert d is None or math.isfinite(d)
+    report = _finite_or_refused(lambda: stability_report(ts, k_max, j=j, eps=eps))
+    if report is not None:
+        _assert_finite_result(report.base)
+        _assert_finite_result(report.perturbed)
+        assert math.isfinite(report.delta_d) and np.all(np.isfinite(report.new_points))
+    rows = _finite_or_refused(lambda: divergence_trace(ts, k_max, j, grid))
+    for row in rows or ():
+        assert math.isfinite(row.d_eps)
+        # NaN marks a bump that resurrects no stride, and only that
+        new_points = stability_report(ts, k_max, j=j, eps=row.eps).new_points
+        assert math.isnan(row.min_log_new) == (len(new_points) == 0)
+        assert math.isnan(row.min_log_new) or math.isfinite(row.min_log_new)

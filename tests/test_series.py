@@ -95,6 +95,21 @@ class TestPerturb:
         with pytest.raises(DomainError, match="outside 1..3"):
             perturb(ts, j, 0.1)
 
+    @pytest.mark.parametrize("j", [1.0, 2.5, True, False, np.float64(2.0), None])
+    def test_non_integer_index(self, j):
+        ts = TimeSeries(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError, match="^index j must be an integer, got "):
+            perturb(ts, j, 0.1)
+
+    def test_numpy_integer_index(self):
+        ts = TimeSeries(np.array([1.0, 2.0, 3.0]))
+        assert list(perturb(ts, np.int64(2), 0.5).values) == [1.0, 2.5, 3.0]
+
+    def test_bump_beyond_float_range(self):
+        ts = TimeSeries(np.array([1e308, 0.0, 0.0]))
+        with pytest.raises(DomainError, match=r"^the bumped value X\(1\) \+ 1e\+308 is not finite$"):
+            perturb(ts, 1, 1e308)
+
     def test_other_entries_bit_identical(self):
         rng = np.random.default_rng(7)
         ts = TimeSeries(rng.normal(size=50))

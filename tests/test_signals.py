@@ -110,6 +110,20 @@ class TestWeierstrass:
         Weierstrass(1.00001, 1.7)
         assert time.perf_counter() - start < 0.5
 
+    def test_too_many_terms_to_evaluate(self):
+        # next to 1 the term count reaches 1.65e17; it is refused before any
+        # array of that size is asked for
+        w = Weierstrass(1 + 2**-52, 1.7)
+        with pytest.raises(DomainError, match="too large to evaluate"):
+            w.evaluate(0.5)
+        with pytest.raises(DomainError, match="too large to evaluate"):
+            weierstrass_error_bound(1 + 2**-52, 1.7)
+        # 367,386 terms: one point fits the bound, 10**3 points do not
+        w = Weierstrass(1.0001, 1.7)
+        assert math.isfinite(w.evaluate(0.5))
+        with pytest.raises(DomainError, match="367386 terms at 1000 points"):
+            w.sample_values(1000)
+
     def test_truncation_error_below_tail_tol(self):
         # both tolerances lie above the precision floor, so the counts differ
         grid = np.arange(1000) / 999.0

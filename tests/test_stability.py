@@ -241,6 +241,21 @@ class TestIncrementalBump:
         with pytest.raises(DomainError):
             stability_report(ts, 2, j=1, eps=1e308)
 
+    @pytest.mark.parametrize("j", [1.0, 2.5, True, np.float64(1.0), "1"])
+    def test_non_integer_index_rejected(self, alternating_series, j):
+        with pytest.raises(DomainError, match=r"^index j must be an integer, got "):
+            stability_report(alternating_series, 5, j=j)
+        with pytest.raises(DomainError, match=r"^index j must be an integer, got "):
+            divergence_trace(alternating_series, 5, j, [1e-3])
+
+    def test_numpy_integer_index_accepted(self, alternating_series):
+        report = stability_report(alternating_series, 50, j=np.int64(3))
+        expected = stability_report(alternating_series, 50, j=3)
+        assert np.array_equal(report.perturbed.lengths, expected.perturbed.lengths)
+        assert divergence_trace(alternating_series, 50, np.int32(3), [1e-3]) == divergence_trace(
+            alternating_series, 50, 3, [1e-3]
+        )
+
     @pytest.mark.parametrize("grid", [(1e-4,), (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)])
     def test_trace_builds_the_base_table_once(self, alternating_series, grid, monkeypatch):
         calls = []
