@@ -17,15 +17,17 @@ through blocks of consecutive strides of at most ``_BLOCK_CELLS`` (k, m)
 cells: per block, a handful of vectorised calls give every cell's m, q, C
 and term, and one ``tolist`` hands the terms to Python, so the per-stride
 bookkeeping costs no numpy calls of its own.  The V columns are still added
-one stride at a time by :func:`_stride_table`, with one accumulate over the
+one stride at a time by :func:`_stride_table`, with one reduction over the
 stride's increments: gathering a block's columns into zero-padded rows, or
 binning the increments by offset, was faster for short series but 1.5 to 2
 times slower from N = 1000 up, and would have needed a second path.
 
 The summation order is fixed, because the exact zero test on L(k) and the
 frozen golden values depend on every bit: each V(k, m) is a sequential
-column accumulate over i = 1..q, the order of :func:`variation_sum`, and
-each per-stride average is the Python ``sum`` of the terms in ascending m
+column sum over i = 1..q, the order of :func:`variation_sum`, taken by a
+reduction along the slow axis of the stride's increment table, one row per
+i (k = 1, whose one column is the fast axis, keeps an accumulate), and each
+per-stride average is the Python ``sum`` of the terms in ascending m
 (:func:`_stride_mean`); the block size changes neither.  From Python 3.12 on
 ``sum`` of floats is compensated, so no numpy reduction could stand in for
 it on every supported interpreter.  A non-finite length or area, which
@@ -119,18 +121,23 @@ def _stride_table(values: np.ndarray, k: int) -> np.ndarray:
     """V(k, m) over the offsets m of stride k with q >= 1 increments.
 
     Row i of ``d[:full*k].reshape(full, k)`` holds increment i+1 of every
-    offset, so the column accumulate adds each V(k, m) in ascending i; the
-    leftover row belongs to the first offsets only.  Without a full row
-    only the first N - k offsets have an increment, one each, so the
-    increments are their sums.
+    offset.  Reducing that table over axis 0, the slow axis in memory,
+    numpy adds one row after another into the k column sums, so each
+    V(k, m) is the sequential sum in ascending i; only a reduction along the
+    fast axis is summed pairwise.  At k = 1 the one column is the fast
+    axis, so it keeps a sequential accumulate.  The leftover row belongs to
+    the first offsets only.  Without a full row only the first N - k
+    offsets have an increment, one each, so the increments are their sums.
     """
     d = values[k:] - values[:-k]
     np.abs(d, out=d)
     full = d.size // k
     if not full:
         return d
-    # a copy: a view of the last row would keep the whole accumulate alive
-    v = np.add.accumulate(d[: full * k].reshape(full, k), axis=0)[-1].copy()
+    if k == 1:
+        # a copy: a view of the last entry would keep the whole accumulate alive
+        return np.add.accumulate(d)[-1:].copy()
+    v = np.add.reduce(d[: full * k].reshape(full, k), axis=0)
     rest = d[full * k :]
     v[: rest.size] += rest
     return v
@@ -211,7 +218,7 @@ def _touched_columns(values: np.ndarray, j: int, k_max: int):
     ``values``.
 
     Each V adds |X(m+ik) - X(m+(i-1)k)| in ascending i, like the kernel's
-    column ``cumsum``.  The columns of strides [k0, 2*k0) share one
+    column sums.  The columns of strides [k0, 2*k0) share one
     ``cumsum`` along rows padded with trailing zeros, which leave a
     sequential sum unchanged; such a block holds at most N - 1 entries.
     """

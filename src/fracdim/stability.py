@@ -25,12 +25,13 @@ from .errors import DomainError
 from .higuchi import (
     HfdResult,
     _bumped_lengths,
+    _check_admissible,
     _hfd_result,
     _length_table,
     hfd,  # noqa: F401 - kept as fracdim.stability.hfd, which perfbench's tracer rebinds
     normalization_constant,
 )
-from .series import TimeSeries, perturb
+from .series import TimeSeries, _check_index, perturb
 
 DEFAULT_EPS = 1e-10
 DEFAULT_INDEX = 1
@@ -64,9 +65,12 @@ class StabilityReport:
         }
 
 
-def _unperturbed(ts: TimeSeries, k_max: int):
+def _unperturbed(ts: TimeSeries, k_max: int, j):
     """The estimate of ``ts``, equal to ``hfd(ts, k_max)``, and its per-stride
-    length terms."""
+    length terms.  ``k_max`` and the bump index ``j`` are checked first, in
+    that order, so that a refused index costs no table."""
+    _check_admissible(ts.n, k_max)
+    _check_index(ts, j)
     lengths, terms = _length_table(ts, k_max)
     return _hfd_result(ts.n, lengths), terms
 
@@ -103,7 +107,7 @@ def stability_report(
     series uses; ``vanished`` flags strides that dropped out (a floating-
     point coincidence, normally empty).
     """
-    base, terms = _unperturbed(ts, k_max)
+    base, terms = _unperturbed(ts, k_max, j)
     return _compare(base, _bumped(base, terms, ts, j, eps), j, eps)
 
 
@@ -135,7 +139,7 @@ def divergence_trace(ts: TimeSeries, k_max: int, j, eps_grid) -> List[TraceRow]:
         raise DomainError("eps grid must contain positive values only")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DomainError("eps grid must be strictly decreasing")
-    base, terms = _unperturbed(ts, k_max)
+    base, terms = _unperturbed(ts, k_max, j)
     rows = []
     for eps in grid:
         report = _compare(base, _bumped(base, terms, ts, j, eps), j, eps)

@@ -196,6 +196,25 @@ def test_stability_reports_bit_equal(name, cells, monkeypatch):
         assert report.perturbed.slope == slope
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
+def test_stride_table_is_a_sequential_column_sum(k):
+    # every column against a left-to-right Python loop over its increments;
+    # at N = 10 001 strides 2, 3, 7 and 64 leave a non-empty leftover row
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=10_001) * 10.0 ** rng.integers(-150, 150, size=10_001)
+    expected = []
+    for m in range(k):
+        v = 0.0
+        for i in range(m + k, values.size, k):
+            v += abs(values[i] - values[i - k])
+        expected.append(v)
+    got = higuchi._stride_table(values, k)
+    assert got.tobytes() == np.array(expected).tobytes()
+    if k == 1:
+        # the data tells the two orders apart: numpy's pairwise sum differs
+        assert np.sum(np.abs(np.diff(values))) != expected[0]
+
+
 @pytest.mark.parametrize("p", [-40, -3, 1, 17])
 def test_power_of_two_rescaling(case, p):
     # a power-of-two factor scales every increment, sum and mean exactly;

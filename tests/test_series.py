@@ -21,6 +21,16 @@ from fracdim.series import from_csv_text, read_csv, to_csv_text, write_csv
 from fracdim.signals import eval_weierstrass
 
 
+def csv_writer_text(ts):
+    """Oracle: the standard csv module writing one row per sample."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("j", "t", "x"))
+    for j, (t, x) in enumerate(zip(ts.grid, ts.values), start=1):
+        writer.writerow((j, format(t, ".17g"), format(x, ".17g")))
+    return buf.getvalue()
+
+
 class TestTimeSeries:
     def test_rejects_short_and_nonfinite(self):
         with pytest.raises(AdmissibilityError):
@@ -127,15 +137,14 @@ class TestCsv:
         assert lines[1].startswith("1,0,")
 
     def test_text_equals_csv_writer_rows(self):
-        # oracle: the standard csv module writing one row per sample
         values = np.array([0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1e308, -1e308, 1 / 3, -7.25])
         ts = TimeSeries(values)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("j", "t", "x"))
-        for j, (t, x) in enumerate(zip(ts.grid, ts.values), start=1):
-            writer.writerow((j, format(t, ".17g"), format(x, ".17g")))
-        assert to_csv_text(ts) == buf.getvalue()
+        assert to_csv_text(ts) == csv_writer_text(ts)
+
+    @pytest.mark.parametrize("n", [2, 100_000])
+    def test_text_equals_csv_writer_rows_for_weierstrass(self, n):
+        ts = sample(Weierstrass(5.0, 1.7), n)
+        assert to_csv_text(ts) == csv_writer_text(ts)
 
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(11)

@@ -20,7 +20,7 @@ from fracdim import (
 )
 from fracdim import higuchi
 from fracdim.acceptance import golden_values
-from fracdim.errors import DomainError
+from fracdim.errors import AdmissibilityError, DomainError
 from fracdim.higuchi import ceil_half
 from fracdim.cli import main
 from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS
@@ -263,6 +263,23 @@ class TestIncrementalBump:
         monkeypatch.setattr(higuchi, "_stride_table", lambda *a: calls.append(a[1]) or real(*a))
         divergence_trace(alternating_series, 50, 1, grid)
         assert calls == list(range(1, 51))
+
+    @pytest.mark.parametrize("j", [0, 101, 1.5, True])
+    def test_refused_index_builds_no_table(self, alternating_series, j, monkeypatch):
+        calls = []
+        real = higuchi._stride_table
+        monkeypatch.setattr(higuchi, "_stride_table", lambda *a: calls.append(a[1]) or real(*a))
+        with pytest.raises(DomainError, match=r"^index j"):
+            stability_report(alternating_series, 50, j=j)
+        with pytest.raises(DomainError, match=r"^index j"):
+            divergence_trace(alternating_series, 50, j, [1e-3])
+        assert calls == []
+
+    def test_bad_k_max_is_reported_before_bad_index(self, alternating_series):
+        with pytest.raises(AdmissibilityError):
+            stability_report(alternating_series, 51, j=0)
+        with pytest.raises(AdmissibilityError):
+            divergence_trace(alternating_series, 51, 0, [1e-3])
 
 
 class TestSmoothInputsAreStable:
