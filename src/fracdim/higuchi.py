@@ -16,31 +16,38 @@ by :func:`_stride_averages` from one (k, m, q, C, V) table.  It works
 through blocks of consecutive strides of at most ``_BLOCK_CELLS`` (k, m)
 cells: per block, a handful of vectorised calls give every cell's m, q, C
 and term, and one ``tolist`` hands the terms to Python, so the per-stride
-bookkeeping costs no numpy calls of its own.  The V columns are still added
-one stride at a time by :func:`_stride_table`, with one reduction over the
-stride's increments: gathering a block's columns into zero-padded rows, or
-binning the increments by offset, was faster for short series but 1.5 to 2
-times slower from N = 1000 up, and would have needed a second path.
+bookkeeping costs no numpy calls of its own.  The V columns are summed per
+run of consecutive strides that share the full-row count f = (N-k)//k
+(:func:`_run_columns`): the run's (f+2, k) sample tables, read from the
+series padded with NaN, are stacked side by side into one table of at most
+``_BLOCK_CELLS`` entries, whose row differences hold every increment and
+whose padding adds +0.0.  At the paper's sizes (N of a few hundred, k_max =
+ceil(N/2)) most strides have one to four increments per offset, and one
+table per run in place of one per stride saves about 40% of the V stage
+(N = 340).  A stride alone, and so every stride from N = 2046 on, where no
+two strides fit one table, is summed by :func:`_stride_table` from its
+increments.
 
 The summation order is fixed, because the exact zero test on L(k) and the
 frozen golden values depend on every bit: each V(k, m) is a sequential
-column sum over i = 1..q, the order of :func:`variation_sum`, taken by a
-reduction along the slow axis of the stride's increment table, one row per
-i (k = 1, whose one column is the fast axis, keeps an accumulate), and each
-per-stride average is the Python ``sum`` of the terms in ascending m
-(:func:`_stride_mean`); the block size changes neither.  From Python 3.12 on
-``sum`` of floats is compensated, so no numpy reduction could stand in for
-it on every supported interpreter.  A non-finite length or area, which
-finite values reach only through overflow, raises :class:`DomainError`
-naming the stride.
+column sum over i = 1..q, the order of :func:`variation_sum`, taken by
+:func:`_sum_rows`, a reduction along the slow axis of a table with one row
+per i (a single column, which is the fast axis, is accumulated instead),
+and each per-stride average is the Python ``sum`` of the terms in ascending
+m (:func:`_stride_mean`); neither the blocks nor the runs change a bit.
+From Python 3.12 on ``sum`` of floats is compensated, so no numpy reduction
+could stand in for it on every supported interpreter.  A non-finite length
+or area, which finite values reach only through overflow, raises
+:class:`DomainError` naming the stride.
 
 For the bump experiments of :mod:`fracdim.stability`, :func:`_length_table`
 keeps every length term of the unperturbed series.  A bump at sample j
 changes one offset per stride, m = (j-1) mod k + 1, so
-:func:`_bumped_lengths` recomputes just that column V(k, m) per stride, in
-the same ascending-i order (:func:`_touched_columns`), replaces its term and
-averages the stride again with :func:`_stride_mean`: bit-identical to
-:func:`curve_lengths` of the bumped series.
+:func:`_bumped_lengths` recomputes just that column V(k, m) per stride, by
+the same :func:`_sum_rows` over each run of strides with an equal count q
+(:func:`_touched_columns`), replaces its term and averages the stride
+again with :func:`_stride_mean`: bit-identical to :func:`curve_lengths` of
+the bumped series.
 """
 from __future__ import annotations
 
@@ -117,27 +124,36 @@ class DetailRow(NamedTuple):
     length: float
 
 
+def _sum_rows(d: np.ndarray) -> np.ndarray:
+    """The column sums of the 2-D table ``d``, each added in ascending row
+    order: the one summation order of every V(k, m).
+
+    Reducing over axis 0, the slow axis in memory, numpy adds one row after
+    another into the column sums; only a reduction along the fast axis is
+    summed pairwise.  A single column is the fast axis, so it is
+    accumulated instead.
+    """
+    if d.shape[1] == 1:
+        # a copy: a view of the last row would keep the whole accumulate alive
+        return np.add.accumulate(d, axis=0)[-1].copy()
+    return np.add.reduce(d, axis=0)
+
+
 def _stride_table(values: np.ndarray, k: int) -> np.ndarray:
     """V(k, m) over the offsets m of stride k with q >= 1 increments.
 
     Row i of ``d[:full*k].reshape(full, k)`` holds increment i+1 of every
-    offset.  Reducing that table over axis 0, the slow axis in memory,
-    numpy adds one row after another into the k column sums, so each
-    V(k, m) is the sequential sum in ascending i; only a reduction along the
-    fast axis is summed pairwise.  At k = 1 the one column is the fast
-    axis, so it keeps a sequential accumulate.  The leftover row belongs to
-    the first offsets only.  Without a full row only the first N - k
-    offsets have an increment, one each, so the increments are their sums.
+    offset, and :func:`_sum_rows` adds the rows in ascending i.  The
+    leftover row belongs to the first offsets only.  Without a full row
+    only the first N - k offsets have an increment, one each, so the
+    increments are their sums.
     """
     d = values[k:] - values[:-k]
     np.abs(d, out=d)
     full = d.size // k
     if not full:
         return d
-    if k == 1:
-        # a copy: a view of the last entry would keep the whole accumulate alive
-        return np.add.accumulate(d)[-1:].copy()
-    v = np.add.reduce(d[: full * k].reshape(full, k), axis=0)
+    v = _sum_rows(d[: full * k].reshape(full, k))
     rest = d[full * k :]
     v[: rest.size] += rest
     return v
@@ -168,6 +184,41 @@ def _stride_blocks(k_max: int):
         lo = hi
 
 
+def _stride_runs(lo: int, full: List[int]):
+    """Runs (a, b, f) of the strides lo, lo+1, ... whose full-row counts
+    (N-k)//k are ``full``: the strides a..b-1 share the count f, and their
+    stacked (f+2)-row table holds at most ``_BLOCK_CELLS`` entries, unless
+    the run is one stride."""
+    a, end = lo, lo + len(full)
+    while a < end:
+        f = full[a - lo]
+        b, cells = a + 1, a
+        while b < end and full[b - lo] == f and (f + 2) * (cells + b) <= _BLOCK_CELLS:
+            cells += b
+            b += 1
+        yield a, b, f
+        a = b
+
+
+def _run_columns(padded: np.ndarray, a: int, b: int, f: int) -> np.ndarray:
+    """V(k, m) of the strides k = a..b-1, which share the full-row count
+    f >= 1, in ascending (k, m), from one table: the strides' (f+2, k)
+    sample tables side by side, read from the series ``padded`` with NaN.
+
+    Row i+1 less row i holds increment i+1 of every offset.  The last row
+    lies beyond X(N) for the offsets with only f increments and reads the
+    padding, which ``fmax`` turns into +0.0; finite values give finite or
+    infinite differences, never NaN, and a sum of absolute values gains no
+    bit from a trailing +0.0.  A run has at least two strides, so at least
+    three columns.
+    """
+    t = np.concatenate([padded[: (f + 2) * k].reshape(f + 2, k) for k in range(a, b)], axis=1)
+    d = t[1:] - t[:-1]
+    np.abs(d, out=d)
+    np.fmax(d, 0.0, out=d)
+    return _sum_rows(d)
+
+
 def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kept=None) -> np.ndarray:
     """Per-stride averages of ``term(k, C, V)`` over the offsets with an
     increment, k = 1..k_max; each (k, m) row is appended to ``rows`` and
@@ -175,6 +226,7 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kep
     to the per-cell arrays of a whole block of strides at once."""
     k_max = _check_admissible(ts.n, k_max)
     n = ts.n
+    padded = None  # made for the first run of strides; none forms from N = 2046 on
     out = []
     with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
         for lo, hi in _stride_blocks(k_max):
@@ -187,7 +239,15 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kep
             m = np.arange(1, ends[-1] + 1) - np.repeat(ends - count, count)
             q = np.repeat(full, count) + (m <= np.repeat(r, count))
             c = (n - 1) / (q * k)
-            v = np.concatenate([_stride_table(ts.values, s) for s in range(lo, hi)])
+            columns = []
+            for a, b, f in _stride_runs(lo, full.tolist()):
+                if b == a + 1:
+                    columns.append(_stride_table(ts.values, a))
+                    continue
+                if padded is None:
+                    padded = np.concatenate([ts.values, np.full(k_max, np.nan)])
+                columns.append(_run_columns(padded, a, b, f))
+            v = np.concatenate(columns)
             terms = term(k, c, v).tolist()
             start = 0
             for s, end in zip(range(lo, hi), ends.tolist()):
@@ -218,9 +278,10 @@ def _touched_columns(values: np.ndarray, j: int, k_max: int):
     ``values``.
 
     Each V adds |X(m+ik) - X(m+(i-1)k)| in ascending i, like the kernel's
-    column sums.  The columns of strides [k0, 2*k0) share one
-    ``cumsum`` along rows padded with trailing zeros, which leave a
-    sequential sum unchanged; such a block holds at most N - 1 entries.
+    column sums: the columns of a run of consecutive strides with the same
+    q are summed by :func:`_sum_rows` from the row differences of one
+    (q+1)-row table of their samples, and a stride alone from its
+    increments as one column.
     """
     n = values.size
     k = np.arange(1, k_max + 1)
@@ -228,18 +289,20 @@ def _touched_columns(values: np.ndarray, j: int, k_max: int):
     q = (n - m) // k
     keep = q >= 1
     k, m, q = k[keep], m[keep], q[keep]
-    v = np.empty(k.size)
-    lo = 0
-    while lo < k.size:
-        hi = int(np.searchsorted(k, 2 * k[lo]))
-        kb, mb, qb = k[lo:hi, None], m[lo:hi, None], q[lo:hi, None]
-        i = np.arange(qb.max())
-        inside = i < qb
-        start = np.where(inside, mb - 1 + i * kb, 0)
-        d = np.where(inside, np.abs(values[start + kb] - values[start]), 0.0)
-        v[lo:hi] = np.cumsum(d, axis=1)[:, -1]
-        lo = hi
-    return k, m, q, v
+    first = m - 1
+    starts = [0, *(np.flatnonzero(np.diff(q)) + 1).tolist()]
+    ks, qs, firsts = k.tolist(), q.tolist(), first.tolist()
+    rows = np.arange(qs[0] + 1)[:, None]
+    out = []
+    for a, b in zip(starts, starts[1:] + [k.size]):
+        if b == a + 1:
+            x = values[firsts[a] : firsts[a] + qs[a] * ks[a] + 1 : ks[a], None]
+        else:
+            x = values[rows[: qs[a] + 1] * k[a:b] + first[a:b]]
+        d = x[1:] - x[:-1]
+        np.abs(d, out=d)
+        out.append(_sum_rows(d))
+    return k, m, q, np.concatenate(out)
 
 
 def _bumped_lengths(lengths: np.ndarray, terms, values: np.ndarray, j: int) -> np.ndarray:

@@ -83,10 +83,10 @@ def _bumped(base: HfdResult, terms, ts: TimeSeries, j: int, eps: float) -> HfdRe
 
 
 def _compare(base: HfdResult, pert: HfdResult, j: int, eps: float) -> StabilityReport:
-    base_set = set(base.index_set)
+    base_set, pert_set = set(base.index_set), set(pert.index_set)
     new_rows = [i for i, k in enumerate(pert.index_set) if k not in base_set]
     new_points = pert.points[new_rows].reshape(len(new_rows), 2)
-    vanished = tuple(k for k in base.index_set if k not in set(pert.index_set))
+    vanished = tuple(k for k in base.index_set if k not in pert_set)
     return StabilityReport(
         base=base,
         perturbed=pert,

@@ -5,7 +5,10 @@ The oracle below is the original double loop over strides and offsets, one
 in :mod:`fracdim.higuchi` must reproduce it bit for bit: the exact zero test
 on L(k) and the frozen golden values leave no room for rounding changes.
 The table does its bookkeeping per block of strides, so the comparisons
-also run with blocks of one stride and of at most 7 cells.
+also run with blocks of one stride, of at most 7 cells and of 2**16 cells.
+Within a block, strides that share the full-row count (N-k)//k are summed
+from one NaN-padded table per run; the cases below reach every shape of
+run, which ``test_cases_reach_every_run_shape`` checks.
 """
 import math
 import warnings
@@ -100,6 +103,12 @@ def _noise(n, seed):
     return TimeSeries(np.random.default_rng(seed).normal(size=n))
 
 
+def _wide_noise(n, seed):
+    # magnitudes from 1e-150 to 1e150 in one series
+    rng = np.random.default_rng(seed)
+    return TimeSeries(rng.normal(size=n) * 10.0 ** rng.integers(-150, 151, size=n))
+
+
 CASES = {
     "noise-n2": (_noise(2, 1), 1),
     "noise-n3-k1": (_noise(3, 2), 1),
@@ -120,7 +129,41 @@ CASES = {
     "affine-odd-n37-half": (sample(Affine(2.5, -1.0), 37), ceil_half(37)),
     "constant-odd-n11-half": (sample(Constant(3.7), 11), ceil_half(11)),
     "constant-n2": (sample(Constant(-1.0), 2), 1),
+    "wide-noise-n260-half": (_wide_noise(260, 8), ceil_half(260)),
+    "wide-noise-odd-n259-half": (_wide_noise(259, 9), ceil_half(259)),
 }
+
+
+def _runs(n, k_max):
+    """(a, b, f, end): the runs of strides a..b-1 sharing the full-row count
+    f that the table forms at the current block size, each with the end of
+    its block."""
+    out = []
+    for lo, hi in higuchi._stride_blocks(k_max):
+        full = [(n - k) // k for k in range(lo, hi)]
+        out += [(a, b, f, hi) for a, b, f in higuchi._stride_runs(lo, full)]
+    return out
+
+
+def test_cases_reach_every_run_shape(monkeypatch):
+    def runs(name):
+        ts, k_max = CASES[name]
+        return _runs(ts.n, k_max)
+
+    for name in ("wide-noise-n260-half", "wide-noise-odd-n259-half"):
+        n = CASES[name][0].n
+        # runs of exactly two strides, and runs that a block boundary cuts:
+        # the next block starts with a stride of the same count
+        assert any(b - a == 2 for a, b, _, _ in runs(name))
+        assert any(b - a >= 2 and b == end and (n - b) // b == f for a, b, f, end in runs(name))
+    for name in ("wide-noise-odd-n259-half", "alternating-odd-n101-half"):
+        # odd N: the last stride, k = ceil(N/2), has no full row and stays alone
+        n, k_max = CASES[name][0].n, CASES[name][1]
+        assert runs(name)[-1][:3] == (k_max, k_max + 1, 0) and k_max == ceil_half(n)
+    assert np.ptp(np.log10(np.abs(CASES["wide-noise-n260-half"][0].values))) > 290
+    monkeypatch.setattr(higuchi, "_BLOCK_CELLS", 2**16)
+    assert max(b - a for a, b, _, _ in runs("wide-noise-n260-half")) >= 40
+    assert max(b - a for a, b, _, _ in runs("weierstrass-n421-half")) >= 40
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -167,10 +210,11 @@ def test_detail_rows_bit_equal(case):
         assert row.v == variation_sum(ts, row.k, row.m)
 
 
-@pytest.mark.parametrize("cells", [1, 7])
+@pytest.mark.parametrize("cells", [1, 7, 2**16])
 def test_small_blocks_bit_equal(case, cells, monkeypatch):
     # blocks of one stride, or of at most 7 cells, end at (nearly) every
-    # stride; the tests above run the default block size
+    # stride and leave no run of two; blocks of 2**16 cells hold runs of
+    # dozens of strides; the tests above run the default block size
     monkeypatch.setattr(higuchi, "_BLOCK_CELLS", cells)
     ts, k_max, lengths, rows, areas = case
     assert np.array_equal(curve_lengths(ts, k_max), lengths)
@@ -194,6 +238,21 @@ def test_stability_reports_bit_equal(name, cells, monkeypatch):
         slope, _, index_set, _ = fit_lengths(bumped)
         assert report.perturbed.index_set == index_set
         assert report.perturbed.slope == slope
+
+
+@pytest.mark.parametrize("cells", [higuchi._BLOCK_CELLS, 2**16])
+@pytest.mark.parametrize("name", sorted(name for name, (ts, _) in CASES.items() if 51 < ts.n < 10_000))
+def test_stability_reports_on_runs_bit_equal(name, cells, monkeypatch):
+    # the bumped column of every stride, also where runs of strides share
+    # one table, at bumps at both ends and inside
+    monkeypatch.setattr(higuchi, "_BLOCK_CELLS", cells)
+    ts, k_max = CASES[name]
+    lengths, _ = oracle_length_table(ts, k_max, want_detail=False)
+    for j in (1, 2, ts.n // 3, ts.n - 1, ts.n):
+        report = stability_report(ts, k_max, j=j, eps=1e-10)
+        bumped, _ = oracle_length_table(perturb(ts, j, 1e-10), k_max, want_detail=False)
+        assert np.array_equal(report.base.lengths, lengths)
+        assert report.perturbed.lengths.tobytes() == bumped.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
@@ -248,6 +307,43 @@ class TestOverflow:
         ts = TimeSeries([0.0, 1.5e308, 0.0, 1.5e308, 0.0])
         with pytest.raises(DomainError, match=r"length at stride k=1 "):
             hfd(ts, 3)
+
+    def test_overflow_inside_a_run_names_the_first_stride(self):
+        # a step to 1e308 after sample 7: C * V overflows from stride 148
+        # on, inside the run of strides 147..150, while stride 147 and every
+        # shorter one stay finite; the loop oracle overflows at the same stride
+        n, k_max = 301, ceil_half(301)
+        x = np.zeros(n)
+        x[7:] = 1e308
+        ts = TimeSeries(x)
+        with np.errstate(over="ignore"):
+            lengths, _ = oracle_length_table(ts, k_max, want_detail=False)
+        first = int(np.flatnonzero(~np.isfinite(lengths))[0]) + 1
+        assert first == 148
+        assert any(a < first < b - 1 for a, b, _, _ in _runs(n, k_max))
+        for fn in (lambda: curve_lengths(ts, k_max), lambda: hfd(ts, k_max, detail=True),
+                   lambda: stability_report(ts, k_max, j=2), lambda: divergence_trace(ts, k_max, 2, [1e-3])):
+            with pytest.raises(DomainError, match=rf"length at stride k={first} "):
+                fn()
+
+    def test_bump_that_overflows_inside_a_run(self):
+        # a finite series whose bumped copy overflows first at stride 61,
+        # whose bumped column shares its count q = 4 with stride 62's
+        n, k_max = 301, ceil_half(301)
+        x = np.zeros(n)
+        x[7:] = -0.6e308
+        ts = TimeSeries(x)
+        assert np.all(np.isfinite(hfd(ts, k_max).lengths))
+        bumped = perturb(ts, 1, 0.9e308)
+        with np.errstate(over="ignore"):
+            lengths, _ = oracle_length_table(bumped, k_max, want_detail=False)
+            _, _, q, _ = higuchi._touched_columns(bumped.values, 1, k_max)
+        first = int(np.flatnonzero(~np.isfinite(lengths))[0]) + 1
+        assert first == 61 and q[first - 1] == q[first] == 4
+        for fn in (lambda: stability_report(ts, k_max, j=1, eps=0.9e308),
+                   lambda: divergence_trace(ts, k_max, 1, [0.9e308, 1e-3])):
+            with pytest.raises(DomainError, match=rf"length at stride k={first} "):
+                fn()
 
     def test_large_finite_lengths_pass(self):
         ts = TimeSeries([1e300, -1e300] * 10)

@@ -258,17 +258,18 @@ class TestIncrementalBump:
 
     @pytest.mark.parametrize("grid", [(1e-4,), (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)])
     def test_trace_builds_the_base_table_once(self, alternating_series, grid, monkeypatch):
+        # every (k, m) table, lengths or areas, is built by _stride_averages
         calls = []
-        real = higuchi._stride_table
-        monkeypatch.setattr(higuchi, "_stride_table", lambda *a: calls.append(a[1]) or real(*a))
+        real = higuchi._stride_averages
+        monkeypatch.setattr(higuchi, "_stride_averages", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
         divergence_trace(alternating_series, 50, 1, grid)
-        assert calls == list(range(1, 51))
+        assert calls == [50]
 
     @pytest.mark.parametrize("j", [0, 101, 1.5, True])
     def test_refused_index_builds_no_table(self, alternating_series, j, monkeypatch):
         calls = []
-        real = higuchi._stride_table
-        monkeypatch.setattr(higuchi, "_stride_table", lambda *a: calls.append(a[1]) or real(*a))
+        real = higuchi._stride_averages
+        monkeypatch.setattr(higuchi, "_stride_averages", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
         with pytest.raises(DomainError, match=r"^index j"):
             stability_report(alternating_series, 50, j=j)
         with pytest.raises(DomainError, match=r"^index j"):
