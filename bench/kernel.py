@@ -2,7 +2,8 @@
 
 Times, best of several runs, `hfd` and `geometric_hfd` on Gaussian noise at
 N = 260, 420, 1000 and 4000 with k_max = ceil(N/2), and a five-value
-`divergence_trace` at N = 4000, and records the times under a label in a
+`divergence_trace` at N = 150 (the bump size of perfbench's `paper_scale`)
+and at N = 4000, and records the times under a label in a
 JSON file (by default `BENCH_kernel.json` at the root of the checkout),
 keeping the other labels there.  To compare two commits, run it once per
 checkout, each with its own `--src`:
@@ -10,7 +11,7 @@ checkout, each with its own `--src`:
     python bench/kernel.py --label parent --src ../parent/src
     python bench/kernel.py --label change
 
-`--quick` runs the smallest size once, to check that the script still runs.
+`--quick` runs the smallest sizes once, to check that the script still runs.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (260, 420, 1000, 4000)
-TRACE_N = 4000
+TRACE_SIZES = (150, 4000)
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 REPEAT = 7
 MIN_SAMPLE_S = 0.05
@@ -55,7 +56,7 @@ def commit_of(src: str) -> str:
     return out.stdout.strip()
 
 
-def run(sizes, trace_n: int, repeat: int):
+def run(sizes, trace_sizes, repeat: int):
     import numpy as np
 
     from fracdim import Alternating, TimeSeries, divergence_trace, geometric_hfd, hfd, sample
@@ -68,11 +69,12 @@ def run(sizes, trace_n: int, repeat: int):
         for name, fn in (("hfd", hfd), ("geometric_hfd", geometric_hfd)):
             rows.append({"op": name, "n": n, "k_max": k_max,
                          "best_ms": round(best_ms(lambda: fn(ts, k_max), repeat), 4)})
-    # an alternating series has exactly-zero strides, which the bumps resurrect
-    ts = sample(Alternating(0.4, 0.6), trace_n)
-    k_max = ceil_half(trace_n)
-    rows.append({"op": "divergence_trace", "n": trace_n, "k_max": k_max, "j": 1, "eps": list(TRACE_GRID),
-                 "best_ms": round(best_ms(lambda: divergence_trace(ts, k_max, 1, TRACE_GRID), repeat), 4)})
+    for n in trace_sizes:
+        # an alternating series has exactly-zero strides, which the bumps resurrect
+        ts = sample(Alternating(0.4, 0.6), n)
+        k_max = ceil_half(n)
+        rows.append({"op": "divergence_trace", "n": n, "k_max": k_max, "j": 1, "eps": list(TRACE_GRID),
+                     "best_ms": round(best_ms(lambda: divergence_trace(ts, k_max, 1, TRACE_GRID), repeat), 4)})
     return rows
 
 
@@ -93,9 +95,9 @@ def main(argv=None) -> int:
     if os.path.dirname(os.path.dirname(os.path.abspath(fracdim.__file__))) != src:
         print(f"fracdim was imported from {fracdim.__file__}, not from {src}", file=sys.stderr)
         return 1
-    sizes = SIZES[:1] if args.quick else SIZES
+    sizes, trace_sizes = (SIZES[:1], TRACE_SIZES[:1]) if args.quick else (SIZES, TRACE_SIZES)
     repeat = 1 if args.quick else REPEAT
-    rows = run(sizes, sizes[0] if args.quick else TRACE_N, repeat)
+    rows = run(sizes, trace_sizes, repeat)
     record = {
         "commit": commit_of(src),
         "python": platform.python_version(),

@@ -218,7 +218,12 @@ def cmd_sweep(args) -> int:
             raise DomainError("pass --n-grid or both --n-min and --n-max")
         if args.n_step == 0:
             raise DomainError("--n-step must not be 0")
-        grid = list(range(args.n_min, args.n_max + 1, args.n_step))
+        # --n-max is included whichever way the steps go
+        grid = list(range(args.n_min, args.n_max + (1 if args.n_step > 0 else -1), args.n_step))
+        if not grid:
+            raise DomainError(
+                f"no N from --n-min {args.n_min} to --n-max {args.n_max} in steps of {args.n_step}"
+            )
     rows = []
     for n in grid:
         k_max = _resolve_kmax(args, n)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import DomainError
 from .higuchi import _loglog_fit, _stride_averages, regression_slope
-from .series import TimeSeries
-from .signals import _EVAL_LIMIT, as_callable
+from .series import _EVAL_LIMIT, TimeSeries
+from .signals import as_callable
 
 DEFAULT_DELTA_MIN = 1e-3
 DEFAULT_DELTA_MAX = 1e-1
@@ -123,8 +123,10 @@ def box_dim_estimate(
     counts = np.array(
         [box_count(spec, float(d), samples_per_column, n_samples=n_samples) for d in deltas]
     )
-    areas = deltas * deltas * counts
-    points = np.column_stack((np.log(1.0 / deltas), np.log(counts)))
+    # counts beyond 2**64 make an object array, which has no logarithm
+    real_counts = counts.astype(float)
+    areas = deltas * deltas * real_counts
+    points = np.column_stack((np.log(1.0 / deltas), np.log(real_counts)))
     slope, intercept = regression_slope(points)
     return BoxCountResult(
         deltas=deltas,

@@ -40,14 +40,14 @@ could stand in for it on every supported interpreter.  A non-finite length
 or area, which finite values reach only through overflow, raises
 :class:`DomainError` naming the stride.
 
-For the bump experiments of :mod:`fracdim.stability`, :func:`_length_table`
-keeps every length term of the unperturbed series.  A bump at sample j
-changes one offset per stride, m = (j-1) mod k + 1, so
-:func:`_bumped_lengths` recomputes just that column V(k, m) per stride, by
-the same :func:`_sum_rows` over each run of strides with an equal count q
-(:func:`_touched_columns`), replaces its term and averages the stride
-again with :func:`_stride_mean`: bit-identical to :func:`curve_lengths` of
-the bumped series.
+The bump experiments of :mod:`fracdim.stability` run through
+:func:`_bumped_results`, which builds the unperturbed table once and keeps
+every length term.  A bump at sample j changes one offset per stride,
+m = (j-1) mod k + 1, so for each bump size only that column V(k, m) is
+recomputed per stride, by the same :func:`_sum_rows` over each run of
+strides with an equal count q (:func:`_touched_columns`); its term stands
+in for the old one while :func:`_stride_mean` averages the stride again:
+bit-identical to :func:`hfd` of the bumped series.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateRegressionError, DomainError, EmptySubseriesError
-from .series import TimeSeries, _integer
+from .series import TimeSeries, _check_index, _integer, perturb
 
 # Most (k, m) cells whose bookkeeping _stride_averages does in one go; 2**14
 # was as fast but raised paper_scale's peak RSS by up to 9% (2**12: 1%).
@@ -264,14 +264,6 @@ def _length_terms(k: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return c * v / k
 
 
-def _length_table(ts: TimeSeries, k_max: int) -> Tuple[np.ndarray, List[List[float]]]:
-    """The lengths L(1..k_max), equal to :func:`curve_lengths`, and the
-    length terms C * V / k they average, one list per stride in ascending m,
-    kept so that :func:`_bumped_lengths` can replace one term per stride."""
-    terms: List[List[float]] = []
-    return _stride_averages(ts, k_max, _length_terms, "length", kept=terms), terms
-
-
 def _touched_columns(values: np.ndarray, j: int, k_max: int):
     """Strides k whose offset m = (j-1) mod k + 1, the one holding sample j,
     has an increment; with that offset, its count q and its sum V(k, m) over
@@ -303,25 +295,6 @@ def _touched_columns(values: np.ndarray, j: int, k_max: int):
         np.abs(d, out=d)
         out.append(_sum_rows(d))
     return k, m, q, np.concatenate(out)
-
-
-def _bumped_lengths(lengths: np.ndarray, terms, values: np.ndarray, j: int) -> np.ndarray:
-    """The lengths of ``values``, a series that differs only at sample j from
-    the one whose :func:`_length_table` is ``lengths, terms``.
-
-    Only the term of the offset holding sample j changes in each stride; it
-    is recomputed as the table computes it, and the stride averaged again.
-    """
-    out = lengths.copy()
-    with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
-        ks, ms, qs, v = _touched_columns(values, j, lengths.size)
-        # C(n, k, m) as _stride_averages computes it
-        new_terms = _length_terms(ks, (values.size - 1) / (qs * ks), v)
-    for k, m, term in zip(ks.tolist(), ms.tolist(), new_terms.tolist()):
-        row = terms[k - 1].copy()
-        row[m - 1] = term
-        out[k - 1] = _stride_mean(k, row, "length")
-    return out
 
 
 def curve_lengths(ts: TimeSeries, k_max: int) -> np.ndarray:
@@ -434,3 +407,29 @@ def _hfd_result(n: int, lengths: np.ndarray, detail=None) -> HfdResult:
         intercept=intercept,
         detail=detail,
     )
+
+
+def _bumped_results(ts: TimeSeries, k_max, j, eps_values) -> Tuple[HfdResult, List[HfdResult]]:
+    """``hfd(ts, k_max)`` and ``hfd(perturb(ts, j, eps), k_max)`` for each
+    eps in ``eps_values``, from one table of ``ts``.  ``k_max`` and the bump
+    index ``j`` are checked first, in that order, so that a refused index
+    costs no table."""
+    k_max = _check_admissible(ts.n, k_max)
+    j = _check_index(ts, j)
+    terms: List[List[float]] = []
+    lengths = _stride_averages(ts, k_max, _length_terms, "length", kept=terms)
+    bumped = []
+    for eps in eps_values:
+        values = perturb(ts, j, eps).values
+        out = lengths.copy()
+        with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
+            ks, ms, qs, v = _touched_columns(values, j, k_max)
+            # C(n, k, m) as _stride_averages computes it
+            new_terms = _length_terms(ks, (ts.n - 1) / (qs * ks), v)
+        for k, m, term in zip(ks.tolist(), ms.tolist(), new_terms.tolist()):
+            row = terms[k - 1]
+            old, row[m - 1] = row[m - 1], term
+            out[k - 1] = _stride_mean(k, row, "length")
+            row[m - 1] = old
+        bumped.append(_hfd_result(ts.n, out))
+    return _hfd_result(ts.n, lengths), bumped

@@ -20,8 +20,10 @@ if TYPE_CHECKING:
 
 SERIES_CSV_HEADER = ("j", "t", "x")
 CSV_GRID_TOL = 1e-9
-# the length of the largest float64 array whose size in bytes numpy can hold
-_MAX_SAMPLES = np.iinfo(np.intp).max // 8
+# Most array elements one evaluation may hold in memory: the samples of a
+# series, the points x terms of a Weierstrass sum, the columns x samples of
+# a box count and the finest grid of a variation trace.
+_EVAL_LIMIT = 50_000_000
 
 
 def _integer(value, name: str, error) -> int:
@@ -38,8 +40,8 @@ def _integer(value, name: str, error) -> int:
 def _check_sample_count(n: int) -> None:
     if n < 2:
         raise AdmissibilityError(f"need at least 2 samples, got n={n}")
-    if n > _MAX_SAMPLES:
-        raise AdmissibilityError(f"need at most {_MAX_SAMPLES} samples, got n={n}")
+    if n > _EVAL_LIMIT:
+        raise AdmissibilityError(f"need at most {_EVAL_LIMIT} samples, got n={n}")
 
 
 def sample_grid(n: int) -> np.ndarray:

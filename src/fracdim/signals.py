@@ -26,15 +26,11 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .series import TimeSeries, _check_sample_count, sample_grid
+from .series import _EVAL_LIMIT, TimeSeries, _check_sample_count, sample_grid
 
 # Requested truncation tail of the Weierstrass sum.  Below the precision
 # floor of weierstrass_error_bound it only asks for terms the cap withholds.
 DEFAULT_TAIL_TOL = 1e-15
-
-# Most points x terms (or columns x samples) one evaluation may hold in
-# memory; box counting and the Weierstrass sum share it.
-_EVAL_LIMIT = 50_000_000
 
 # Largest sine argument lam**j whose float phase is still meaningful, and
 # the unit roundoff of a double.

@@ -6,12 +6,8 @@ from the regression.  Bumping a single sample breaks exactly one of those
 subseries, resurrecting the stride with a tiny positive length whose log
 diverges as the bump shrinks - which is what drags the slope far above 2.
 
-The change is local: a bump at sample j enters only the offset
-m = (j-1) mod k + 1 of each stride k.  The unperturbed (k, m) table is
-therefore built once (once per report, once for a whole eps grid), and each
-bumped series recomputes just that one column per stride, in the kernel's
-summation order, before each stride is averaged again.  The results are
-bit-identical to running :func:`fracdim.higuchi.hfd` on the bumped series.
+A report and a whole eps grid each build the unperturbed (k, m) table once,
+through :func:`fracdim.higuchi._bumped_results`.
 """
 from __future__ import annotations
 
@@ -24,14 +20,11 @@ import numpy as np
 from .errors import DomainError
 from .higuchi import (
     HfdResult,
-    _bumped_lengths,
-    _check_admissible,
-    _hfd_result,
-    _length_table,
+    _bumped_results,
     hfd,  # noqa: F401 - kept as fracdim.stability.hfd, which perfbench's tracer rebinds
     normalization_constant,
 )
-from .series import TimeSeries, _check_index, perturb
+from .series import TimeSeries
 
 DEFAULT_EPS = 1e-10
 DEFAULT_INDEX = 1
@@ -65,23 +58,6 @@ class StabilityReport:
         }
 
 
-def _unperturbed(ts: TimeSeries, k_max: int, j):
-    """The estimate of ``ts``, equal to ``hfd(ts, k_max)``, and its per-stride
-    length terms.  ``k_max`` and the bump index ``j`` are checked first, in
-    that order, so that a refused index costs no table."""
-    _check_admissible(ts.n, k_max)
-    _check_index(ts, j)
-    lengths, terms = _length_table(ts, k_max)
-    return _hfd_result(ts.n, lengths), terms
-
-
-def _bumped(base: HfdResult, terms, ts: TimeSeries, j: int, eps: float) -> HfdResult:
-    """``hfd(perturb(ts, j, eps), k_max)``, from the unperturbed estimate and
-    its terms."""
-    lengths = _bumped_lengths(base.lengths, terms, perturb(ts, j, eps).values, j)
-    return _hfd_result(ts.n, lengths)
-
-
 def _compare(base: HfdResult, pert: HfdResult, j: int, eps: float) -> StabilityReport:
     base_set, pert_set = set(base.index_set), set(pert.index_set)
     new_rows = [i for i, k in enumerate(pert.index_set) if k not in base_set]
@@ -107,8 +83,8 @@ def stability_report(
     series uses; ``vanished`` flags strides that dropped out (a floating-
     point coincidence, normally empty).
     """
-    base, terms = _unperturbed(ts, k_max, j)
-    return _compare(base, _bumped(base, terms, ts, j, eps), j, eps)
+    base, (pert,) = _bumped_results(ts, k_max, j, [eps])
+    return _compare(base, pert, j, eps)
 
 
 def perturbed_length_closed_form(n: int, kappa: int, eps: float) -> float:
@@ -139,10 +115,10 @@ def divergence_trace(ts: TimeSeries, k_max: int, j, eps_grid) -> List[TraceRow]:
         raise DomainError("eps grid must contain positive values only")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DomainError("eps grid must be strictly decreasing")
-    base, terms = _unperturbed(ts, k_max, j)
+    base, perts = _bumped_results(ts, k_max, j, grid)
     rows = []
-    for eps in grid:
-        report = _compare(base, _bumped(base, terms, ts, j, eps), j, eps)
+    for eps, pert in zip(grid, perts):
+        report = _compare(base, pert, j, eps)
         if len(report.new_points):
             min_log = float(np.min(report.new_points[:, 1]))
         else:

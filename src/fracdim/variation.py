@@ -17,10 +17,13 @@ import numpy as np
 
 from .errors import DomainError, EmptySubseriesError
 from .higuchi import increments_count, variation_sum
-from .series import sample
+from .series import _EVAL_LIMIT, sample
 from .signals import as_callable
 
 TRACE_BASE_INTERVALS = 64
+# Most levels of a trace: the finest grid, 64 * 2**(levels-1) + 1 points,
+# holds at most _EVAL_LIMIT of them.
+_MAX_TRACE_LEVELS = ((_EVAL_LIMIT - 1) // TRACE_BASE_INTERVALS).bit_length()
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,11 @@ def total_variation_estimate(spec, levels: int) -> TvEstimate:
     """
     if levels < 2:
         raise DomainError(f"need at least 2 levels, got {levels}")
+    if levels > _MAX_TRACE_LEVELS:
+        raise DomainError(
+            f"need at most {_MAX_TRACE_LEVELS} levels, got {levels}: the finest grid would hold "
+            f"more than {_EVAL_LIMIT} points"
+        )
     f = as_callable(spec)
     trace = np.zeros(levels)
     intervals = TRACE_BASE_INTERVALS

@@ -1,5 +1,8 @@
+import contextlib
 import importlib
+import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdim import (
     Alternating,
@@ -21,7 +26,8 @@ from fracdim import (
     variation_convergence_check,
 )
 from fracdim.cli import main, parse_signal
-from fracdim.signals import Weierstrass, spec_to_dict
+from fracdim.errors import FracdimError
+from fracdim.signals import Weierstrass, spec_from_dict, spec_to_dict
 from fracdim.stability import DEMO_ALTERNATING
 
 
@@ -250,6 +256,15 @@ class TestSweep:
         lines = out.read_text().splitlines()[1:]
         assert [int(line.split(",")[0]) for line in lines] == [20, 30, 40, 50, 60]
 
+    def test_descending_range_sweep_includes_n_max(self, tmp_path):
+        out = tmp_path / "sw.csv"
+        run_cli(
+            "sweep", "--signal", "oscillation", "--n-min", "60", "--n-max", "20",
+            "--n-step", "-10", "--kmax", "2", "--out", str(out),
+        )
+        lines = out.read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == [60, 50, 40, 30, 20]
+
     def test_half_rule_sweep(self, tmp_path):
         out = tmp_path / "sw.json"
         run_cli(
@@ -364,6 +379,68 @@ class TestOutputRule:
         assert "must be" in capsys.readouterr().err
 
 
+BIGGEST = sys.float_info.max
+# JSON numbers: every finite float, and integers (one beyond the float range
+# is refused by "signal_number_beyond_float" below)
+NUMBER = st.one_of(st.floats(min_value=-BIGGEST, max_value=BIGGEST), st.integers(-(2**64), 2**64))
+# A scale factor next to 1 may ask for up to 50M points x terms, over a GB of
+# temporaries, before the limit refuses it (tests/test_signals.py covers that
+# refusal); from 1.1 on a sum has at most 385 terms.  The sampled values are
+# refused on construction.
+LAMBDA = st.one_of(
+    st.floats(min_value=1.1, max_value=BIGGEST), st.floats(1.1, 100.0), st.sampled_from([1.0, 0.5, 0.0, -2.0])
+)
+
+
+@st.composite
+def signal_dicts(draw):
+    kind = draw(st.sampled_from(["weierstrass", "oscillation", "affine", "constant", "periodic", "alternating"]))
+    if kind == "weierstrass":
+        return {"kind": kind, "lambda": draw(LAMBDA), "s": draw(st.one_of(st.floats(1.0, 2.0), NUMBER))}
+    if kind == "periodic":
+        return {"kind": kind, "values": draw(st.lists(NUMBER, min_size=1, max_size=8))}
+    fields = {"oscillation": ("c",), "affine": ("a", "b"), "constant": ("c",), "alternating": ("c1", "c2")}
+    return {"kind": kind, **{field: draw(NUMBER) for field in fields[kind]}}
+
+
+def _all_finite(payload) -> bool:
+    if isinstance(payload, dict):
+        return all(_all_finite(v) for v in payload.values())
+    if isinstance(payload, list):
+        return all(_all_finite(v) for v in payload)
+    return not isinstance(payload, float) or math.isfinite(payload)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    signal_dicts(),
+    st.integers(2, 64),
+    st.integers(2, 4),
+    st.integers(2, 5),
+)
+def test_finite_signal_parameters_give_finite_results_or_refusals(data, n, box_levels, tv_levels):
+    """gen, boxdim and tv on a spec built from finite JSON numbers: exit 0
+    with finite JSON, or exit 2 on a FracdimError; any other exception, or a
+    RuntimeWarning, fails the test."""
+    try:
+        spec_from_dict(data)
+        refused = False
+    except FracdimError:
+        refused = True
+    signal = json.dumps(data)
+    for argv in (
+        ["gen", "--signal", signal, "--n", str(n)],
+        ["boxdim", "--signal", signal, "--n", str(n), "--delta-min", "1e-2", "--levels", str(box_levels)],
+        ["tv", "--signal", signal, "--levels", str(tv_levels)],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--format", "json"])
+        assert code == 2 if refused else code in (0, 2)
+        if code == 0:
+            assert _all_finite(json.loads(out.getvalue(), parse_constant=_reject_constant))
+
+
 def run_cli_process(*argv):
     """Run the CLI in a fresh interpreter, so that an uncaught exception shows
     as a traceback on stderr."""
@@ -391,7 +468,13 @@ BAD_INPUTS = {
         ["sweep", "--signal", "oscillation", "--n-min", "10", "--n-max", "20", "--n-step", "0", "--kmax", "3"],
         "--n-step must not be 0",
     ),
+    "sweep_empty_range": (
+        ["sweep", "--signal", "oscillation", "--n-min", "6", "--n-max", "10", "--n-step", "-2", "--kmax", "3"],
+        "no N from --n-min 6 to --n-max 10",
+    ),
     "n_beyond_array_size": (["gen", "--signal", "constant", "--n", str(10**20)], "at most"),
+    "n_beyond_eval_limit": (["gen", "--signal", "constant", "--n", str(10**17)], "need at most 50000000 samples"),
+    "tv_levels_beyond_eval_limit": (["tv", "--signal", "oscillation", "--levels", "21"], "need at most 20 levels"),
     "mesh_inverse_overflows": (
         ["boxdim", "--signal", "oscillation", "--delta-min", "5e-324", "--levels", "2"], "1/delta overflows"
     ),

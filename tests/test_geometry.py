@@ -99,6 +99,15 @@ class TestBoxDimEstimate:
         result = box_dim_estimate(Affine(1.0, 0.0), delta_min=0.01, delta_max=0.1, levels=4)
         assert np.array_equal(result.areas, result.deltas**2 * result.counts)
 
+    def test_counts_beyond_int64(self):
+        # the finer mesh meets about 1.847e19 cells, more than a uint64 holds
+        spec = Alternating(0.0, 6.2e16)
+        result = box_dim_estimate(spec, delta_min=0.01, delta_max=0.1, levels=2, n_samples=4)
+        assert list(result.counts) == [box_count(spec, d, n_samples=4) for d in result.deltas]
+        assert result.counts[0] >= 2**64
+        assert np.isfinite(result.dim_estimate)
+        assert np.array_equal(result.areas, result.deltas**2 * result.counts.astype(float))
+
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             box_dim_estimate(Constant(0.0), delta_min=0.1, delta_max=0.1)

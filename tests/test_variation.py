@@ -156,6 +156,14 @@ class TestTotalVariationEstimate:
         with pytest.raises(DomainError):
             total_variation_estimate(Constant(0.0), 1)
 
+    @pytest.mark.parametrize("levels", [21, 10**9])
+    def test_finest_grid_beyond_eval_limit_refused_before_evaluating(self, levels):
+        # level 21 would hold 64 * 2**20 + 1 > 50M points; level 20 holds 33.5M
+        calls = []
+        with pytest.raises(DomainError, match="need at most 20 levels"):
+            total_variation_estimate(lambda t: calls.append(t) or np.zeros_like(t), levels)
+        assert calls == []
+
 
 class TestConvergenceCheck:
     def test_affine_limits(self):
