@@ -1,12 +1,15 @@
 """Layer bench of the (k, m) kernel: `hfd`, `geometric_hfd` and a bump trace.
 
-Times, best of several runs, `hfd` and `geometric_hfd` on Gaussian noise at
-N = 260, 420, 1000 and 4000 with k_max = ceil(N/2), and a five-value
+Times `hfd` and `geometric_hfd` on Gaussian noise at N = 260, 420, 1000 and
+4000 with k_max = ceil(N/2), `hfd` at N = 1e5 with k_max = 256 (the largest
+`hfd --input` op of perfbench's `long_series`), and a five-value
 `divergence_trace` at N = 150 (the bump size of perfbench's `paper_scale`)
-and at N = 4000, and records the times under a label in a
-JSON file (by default `BENCH_kernel.json` at the root of the checkout),
-keeping the other labels there.  To compare two commits, run it once per
-checkout, each with its own `--src`:
+and at N = 4000.  Each time is recorded as the best, the median and the
+quartiles of its samples, under a label in a JSON file (by default
+`BENCH_kernel.json` at the root of the checkout), keeping the other labels
+there.  The best alone ranks two commits by luck on a noisy host; compare
+medians against the spread.  To compare two commits, run it once per
+checkout, each with its own `--src`, and alternate the runs:
 
     python bench/kernel.py --label parent --src ../parent/src
     python bench/kernel.py --label change
@@ -19,32 +22,37 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (260, 420, 1000, 4000)
+LONGS = ((100_000, 256),)
 TRACE_SIZES = (150, 4000)
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
-REPEAT = 7
+REPEAT = 11
 MIN_SAMPLE_S = 0.05
 
 
-def best_ms(fn, repeat: int) -> float:
-    """Best per-call time over ``repeat`` samples, each of enough calls to
-    take at least ``MIN_SAMPLE_S`` (one call when ``repeat`` is 1)."""
+def timing(fn, repeat: int) -> dict:
+    """Per-call times in ms: the best of ``repeat`` samples and the median
+    and quartiles of all but the first, each sample of enough calls to take
+    at least ``MIN_SAMPLE_S`` (one call, not repeated, when ``repeat`` is 1)."""
     start = time.perf_counter()
     fn()
-    first = time.perf_counter() - start
-    number = 1 if repeat == 1 else max(1, int(MIN_SAMPLE_S / max(first, 1e-9)))
-    best = first
+    samples = [time.perf_counter() - start]
+    number = 1 if repeat == 1 else max(1, int(MIN_SAMPLE_S / max(samples[0], 1e-9)))
     for _ in range(repeat - 1):
         start = time.perf_counter()
         for _ in range(number):
             fn()
-        best = min(best, (time.perf_counter() - start) / number)
-    return best * 1e3
+        samples.append((time.perf_counter() - start) / number)
+    timed = samples[1:] or samples  # the first call also warms up
+    q1, median, q3 = statistics.quantiles(timed, n=4, method="inclusive") if len(timed) > 1 else timed * 3
+    return {name: round(x * 1e3, 4) for name, x in
+            (("best_ms", min(samples)), ("median_ms", median), ("q1_ms", q1), ("q3_ms", q3))}
 
 
 def commit_of(src: str) -> str:
@@ -56,25 +64,30 @@ def commit_of(src: str) -> str:
     return out.stdout.strip()
 
 
-def run(sizes, trace_sizes, repeat: int):
+def run(sizes, longs, trace_sizes, repeat: int):
     import numpy as np
 
     from fracdim import Alternating, TimeSeries, divergence_trace, geometric_hfd, hfd, sample
     from fracdim.higuchi import ceil_half
 
+    def noise(n):
+        return TimeSeries(np.random.default_rng(n).normal(size=n))
+
     rows = []
     for n in sizes:
-        ts = TimeSeries(np.random.default_rng(n).normal(size=n))
+        ts = noise(n)
         k_max = ceil_half(n)
         for name, fn in (("hfd", hfd), ("geometric_hfd", geometric_hfd)):
-            rows.append({"op": name, "n": n, "k_max": k_max,
-                         "best_ms": round(best_ms(lambda: fn(ts, k_max), repeat), 4)})
+            rows.append({"op": name, "n": n, "k_max": k_max, **timing(lambda: fn(ts, k_max), repeat)})
+    for n, k_max in longs:
+        ts = noise(n)
+        rows.append({"op": "hfd", "n": n, "k_max": k_max, **timing(lambda: hfd(ts, k_max), repeat)})
     for n in trace_sizes:
         # an alternating series has exactly-zero strides, which the bumps resurrect
         ts = sample(Alternating(0.4, 0.6), n)
         k_max = ceil_half(n)
         rows.append({"op": "divergence_trace", "n": n, "k_max": k_max, "j": 1, "eps": list(TRACE_GRID),
-                     "best_ms": round(best_ms(lambda: divergence_trace(ts, k_max, 1, TRACE_GRID), repeat), 4)})
+                     **timing(lambda: divergence_trace(ts, k_max, 1, TRACE_GRID), repeat)})
     return rows
 
 
@@ -95,9 +108,9 @@ def main(argv=None) -> int:
     if os.path.dirname(os.path.dirname(os.path.abspath(fracdim.__file__))) != src:
         print(f"fracdim was imported from {fracdim.__file__}, not from {src}", file=sys.stderr)
         return 1
-    sizes, trace_sizes = (SIZES[:1], TRACE_SIZES[:1]) if args.quick else (SIZES, TRACE_SIZES)
+    sizes, longs, trace_sizes = (SIZES[:1], (), TRACE_SIZES[:1]) if args.quick else (SIZES, LONGS, TRACE_SIZES)
     repeat = 1 if args.quick else REPEAT
-    rows = run(sizes, trace_sizes, repeat)
+    rows = run(sizes, longs, trace_sizes, repeat)
     record = {
         "commit": commit_of(src),
         "python": platform.python_version(),
@@ -107,7 +120,8 @@ def main(argv=None) -> int:
         "results": rows,
     }
     for row in rows:
-        print(f"{row['op']:>16} N={row['n']:<5} k_max={row['k_max']:<5} {row['best_ms']:10.3f} ms")
+        print(f"{row['op']:>16} N={row['n']:<6} k_max={row['k_max']:<5} best {row['best_ms']:10.3f} ms"
+              f"  median {row['median_ms']:10.3f} [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}] ms")
     try:
         with open(args.out) as fh:
             data = json.load(fh)

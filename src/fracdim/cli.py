@@ -132,6 +132,8 @@ def _load_series(args) -> tuple[TimeSeries, SignalSpec | None]:
 
 def _resolve_kmax(args, n: int) -> int:
     if args.kmax_rule == "half":
+        if args.kmax is not None:
+            raise DomainError("pass either --kmax or --kmax-rule half, not both")
         return ceil_half(n)
     if args.kmax is None:
         raise DomainError("pass --kmax or use --kmax-rule half")

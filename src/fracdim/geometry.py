@@ -75,6 +75,10 @@ def box_count(
         total = np.sum(np.floor(values.max(axis=1) / delta) - np.floor(values.min(axis=1) / delta) + 1.0)
     if not math.isfinite(total):
         raise DomainError(f"graph values overflow the row count of the {delta!r}-mesh")
+    if total >= 2**53:
+        # the float sum is exact only below 2**53: add the columns' counts as ints
+        return sum(math.floor(a / delta) - math.floor(b / delta) + 1
+                   for a, b in zip(values.max(axis=1).tolist(), values.min(axis=1).tolist()))
     return int(total)
 
 

@@ -17,16 +17,13 @@ through blocks of consecutive strides of at most ``_BLOCK_CELLS`` (k, m)
 cells: per block, a handful of vectorised calls give every cell's m, q, C
 and term, and one ``tolist`` hands the terms to Python, so the per-stride
 bookkeeping costs no numpy calls of its own.  The V columns are summed per
-run of consecutive strides that share the full-row count f = (N-k)//k
-(:func:`_run_columns`): the run's (f+2, k) sample tables, read from the
-series padded with NaN, are stacked side by side into one table of at most
-``_BLOCK_CELLS`` entries, whose row differences hold every increment and
-whose padding adds +0.0.  At the paper's sizes (N of a few hundred, k_max =
-ceil(N/2)) most strides have one to four increments per offset, and one
-table per run in place of one per stride saves about 40% of the V stage
-(N = 340).  A stride alone, and so every stride from N = 2046 on, where no
-two strides fit one table, is summed by :func:`_stride_table` from its
-increments.
+run of consecutive strides that share the full-row count f = (N-k)//k, a
+lone stride being a run of one (:func:`_run_columns`): the run's (f+2, k)
+sample tables, read from the series padded with NaN, stand side by side in
+one table, whose row differences hold every increment and whose padding
+adds +0.0.  At the paper's sizes (N of a few hundred, k_max = ceil(N/2))
+most strides have one to four increments per offset, and one table per run
+in place of one per stride saves about 40% of the V stage (N = 340).
 
 The summation order is fixed, because the exact zero test on L(k) and the
 frozen golden values depend on every bit: each V(k, m) is a sequential
@@ -139,26 +136,6 @@ def _sum_rows(d: np.ndarray) -> np.ndarray:
     return np.add.reduce(d, axis=0)
 
 
-def _stride_table(values: np.ndarray, k: int) -> np.ndarray:
-    """V(k, m) over the offsets m of stride k with q >= 1 increments.
-
-    Row i of ``d[:full*k].reshape(full, k)`` holds increment i+1 of every
-    offset, and :func:`_sum_rows` adds the rows in ascending i.  The
-    leftover row belongs to the first offsets only.  Without a full row
-    only the first N - k offsets have an increment, one each, so the
-    increments are their sums.
-    """
-    d = values[k:] - values[:-k]
-    np.abs(d, out=d)
-    full = d.size // k
-    if not full:
-        return d
-    v = _sum_rows(d[: full * k].reshape(full, k))
-    rest = d[full * k :]
-    v[: rest.size] += rest
-    return v
-
-
 def _stride_mean(k: int, terms: list, what: str) -> float:
     """Python ``sum`` of stride k's terms, in ascending m, over their count.
     ``what`` names the averaged quantity in the DomainError raised for a
@@ -201,21 +178,23 @@ def _stride_runs(lo: int, full: List[int]):
 
 
 def _run_columns(padded: np.ndarray, a: int, b: int, f: int) -> np.ndarray:
-    """V(k, m) of the strides k = a..b-1, which share the full-row count
-    f >= 1, in ascending (k, m), from one table: the strides' (f+2, k)
-    sample tables side by side, read from the series ``padded`` with NaN.
+    """V(k, m) of the strides k = a..b-1, which share the full-row count f,
+    in ascending (k, m), from one table: the strides' (f+2, k) sample tables
+    side by side, read from the series ``padded`` with NaN.
 
-    Row i+1 less row i holds increment i+1 of every offset.  The last row
-    lies beyond X(N) for the offsets with only f increments and reads the
-    padding, which ``fmax`` turns into +0.0; finite values give finite or
-    infinite differences, never NaN, and a sum of absolute values gains no
-    bit from a trailing +0.0.  A run has at least two strides, so at least
-    three columns.
+    Row i+1 less row i holds increment i+1 of every offset.  As (f+1)k <= N,
+    only the last difference row can reach beyond X(N), for the offsets with
+    only f increments; ``fmax`` turns the padding it reads into +0.0.
+    Finite values give finite or infinite differences, never NaN, and a sum
+    of absolute values gains no bit from a trailing +0.0.  For f = 0, at
+    k = ceil(N/2) for odd N, the last column is an offset without an
+    increment, for the caller to drop.
     """
-    t = np.concatenate([padded[: (f + 2) * k].reshape(f + 2, k) for k in range(a, b)], axis=1)
+    tables = [padded[: (f + 2) * k].reshape(f + 2, k) for k in range(a, b)]
+    t = tables[0] if b == a + 1 else np.concatenate(tables, axis=1)
     d = t[1:] - t[:-1]
     np.abs(d, out=d)
-    np.fmax(d, 0.0, out=d)
+    np.fmax(d[-1], 0.0, out=d[-1])
     return _sum_rows(d)
 
 
@@ -226,7 +205,7 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kep
     to the per-cell arrays of a whole block of strides at once."""
     k_max = _check_admissible(ts.n, k_max)
     n = ts.n
-    padded = None  # made for the first run of strides; none forms from N = 2046 on
+    padded = np.concatenate([ts.values, np.full(k_max, np.nan)])
     out = []
     with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
         for lo, hi in _stride_blocks(k_max):
@@ -239,15 +218,9 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kep
             m = np.arange(1, ends[-1] + 1) - np.repeat(ends - count, count)
             q = np.repeat(full, count) + (m <= np.repeat(r, count))
             c = (n - 1) / (q * k)
-            columns = []
-            for a, b, f in _stride_runs(lo, full.tolist()):
-                if b == a + 1:
-                    columns.append(_stride_table(ts.values, a))
-                    continue
-                if padded is None:
-                    padded = np.concatenate([ts.values, np.full(k_max, np.nan)])
-                columns.append(_run_columns(padded, a, b, f))
-            v = np.concatenate(columns)
+            columns = [_run_columns(padded, a, b, f) for a, b, f in _stride_runs(lo, full.tolist())]
+            # drops the column of the one offset without an increment (f = 0)
+            v = np.concatenate(columns)[: ends[-1]]
             terms = term(k, c, v).tolist()
             start = 0
             for s, end in zip(range(lo, hi), ends.tolist()):

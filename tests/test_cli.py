@@ -140,6 +140,13 @@ class TestHfd:
     def test_missing_kmax(self, capsys):
         assert run_cli("hfd", "--signal", "constant", "--n", "10") == 2
 
+    def test_kmax_with_half_rule_conflict(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["hfd", "--signal", "affine", "--n", "10", "--kmax", "3", "--kmax-rule", "half"]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "--kmax or --kmax-rule half, not both" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoxdim:
     def test_csv_matches_in_process(self, tmp_path):
@@ -237,6 +244,13 @@ class TestStability:
         payload = json.loads(out.read_text())
         assert abs(payload["perturbed"]["D"] - 3.5) <= 0.15
 
+    def test_kmax_with_half_rule_conflict(self, tmp_path, capsys):
+        out = tmp_path / "st.json"
+        argv = ["stability", "--signal", "alternating", "--n", "100", "--kmax", "50", "--kmax-rule", "half"]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "--kmax or --kmax-rule half, not both" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_single_point_grid(self, tmp_path):
@@ -274,6 +288,13 @@ class TestSweep:
         payload = json.loads(out.read_text())
         expected = hfd(sample(Weierstrass(5.0, 1.7), 80), 40).slope
         assert payload[1] == {"N": 80, "D": expected}
+
+    def test_kmax_with_half_rule_conflict(self, tmp_path, capsys):
+        out = tmp_path / "sw.csv"
+        argv = ["sweep", "--signal", "oscillation", "--n-grid", "40,80", "--kmax", "2", "--kmax-rule", "half"]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "--kmax or --kmax-rule half, not both" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _gen_rows():

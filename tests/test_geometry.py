@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -59,6 +60,22 @@ class TestBoxCount:
         for level in range(2, 9):
             delta = 2.0 ** (-level)
             assert box_count(spec, delta / 2.0) >= box_count(spec, delta)
+
+    def test_counts_beyond_2_53_are_exact(self):
+        # each column's rows counted in integer arithmetic from the same
+        # samples; a float sum of counts this large drops the last digits
+        delta, seen = 0.01, []
+
+        def f(t):
+            seen.append(6.2e16 * np.sin(40.0 * t) + 1e17 * t)
+            return seen[-1]
+
+        count = box_count(f, delta, samples_per_column=5)
+        expected = 0
+        for row in seen[0].reshape(-1, 5).tolist():
+            expected += math.floor(max(row) / delta) - math.floor(min(row) / delta) + 1
+        assert count == expected and type(count) is int
+        assert count >= 2**53 and int(float(count)) != count
 
 
 class TestAreaFromCount:

@@ -255,20 +255,25 @@ def test_stability_reports_on_runs_bit_equal(name, cells, monkeypatch):
         assert report.perturbed.lengths.tobytes() == bumped.tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 3334, 5001])
 def test_stride_table_is_a_sequential_column_sum(k):
-    # every column against a left-to-right Python loop over its increments;
-    # at N = 10 001 strides 2, 3, 7 and 64 leave a non-empty leftover row
+    # every column of a lone stride's padded table against a left-to-right
+    # Python loop over its increments; at N = 10 001 strides 2, 3, 7, 64 and
+    # 3334 (one full row) leave a partial last row, which reads the padding,
+    # and stride 5001 has no full row and one offset without an increment
     rng = np.random.default_rng(12)
     values = rng.normal(size=10_001) * 10.0 ** rng.integers(-150, 150, size=10_001)
+    n = values.size
     expected = []
-    for m in range(k):
+    for m in range(min(k, n - k)):
         v = 0.0
-        for i in range(m + k, values.size, k):
+        for i in range(m + k, n, k):
             v += abs(values[i] - values[i - k])
         expected.append(v)
-    got = higuchi._stride_table(values, k)
-    assert got.tobytes() == np.array(expected).tobytes()
+    padded = np.concatenate([values, np.full(k, np.nan)])
+    got = higuchi._run_columns(padded, k, k + 1, (n - k) // k)
+    assert got.size == k
+    assert got[: len(expected)].tobytes() == np.array(expected).tobytes()
     if k == 1:
         # the data tells the two orders apart: numpy's pairwise sum differs
         assert np.sum(np.abs(np.diff(values))) != expected[0]
