@@ -1,11 +1,14 @@
-"""Layer bench of the (k, m) kernel: `hfd`, `geometric_hfd` and a bump trace.
+"""Layer bench of the (k, m) kernel: `hfd`, `geometric_hfd` and the bump experiments.
 
 Times `hfd` and `geometric_hfd` on Gaussian noise at N = 260, 420, 1000 and
 4000 with k_max = ceil(N/2), `hfd` at N = 1e5 with k_max = 256 (the largest
-`hfd --input` op of perfbench's `long_series`), and a five-value
-`divergence_trace` at N = 150 (the bump size of perfbench's `paper_scale`)
-and at N = 4000.  Each time is recorded as the best, the median and the
-quartiles of its samples, under a label in a JSON file (by default
+`hfd --input` op of perfbench's `long_series`), and on an alternating
+series a five-value `divergence_trace` and a one-bump `stability_report`
+(j = 1, eps = 1e-10) at N = 150 (the bump size of perfbench's
+`paper_scale`) and at N = 4000: the layout of a bump experiment is built
+once per call, so the report shows that cost and the trace its per-eps
+part.  Each time is recorded as the best, the median and the quartiles of
+its samples, under a label in a JSON file (by default
 `BENCH_kernel.json` at the root of the checkout), keeping the other labels
 there.  The best alone ranks two commits by luck on a noisy host; compare
 medians against the spread.  To compare two commits, run it once per
@@ -32,6 +35,7 @@ SIZES = (260, 420, 1000, 4000)
 LONGS = ((100_000, 256),)
 TRACE_SIZES = (150, 4000)
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+REPORT_EPS = 1e-10
 REPEAT = 11
 MIN_SAMPLE_S = 0.05
 
@@ -67,7 +71,7 @@ def commit_of(src: str) -> str:
 def run(sizes, longs, trace_sizes, repeat: int):
     import numpy as np
 
-    from fracdim import Alternating, TimeSeries, divergence_trace, geometric_hfd, hfd, sample
+    from fracdim import Alternating, TimeSeries, divergence_trace, geometric_hfd, hfd, sample, stability_report
     from fracdim.higuchi import ceil_half
 
     def noise(n):
@@ -88,6 +92,8 @@ def run(sizes, longs, trace_sizes, repeat: int):
         k_max = ceil_half(n)
         rows.append({"op": "divergence_trace", "n": n, "k_max": k_max, "j": 1, "eps": list(TRACE_GRID),
                      **timing(lambda: divergence_trace(ts, k_max, 1, TRACE_GRID), repeat)})
+        rows.append({"op": "stability_report", "n": n, "k_max": k_max, "j": 1, "eps": [REPORT_EPS],
+                     **timing(lambda: stability_report(ts, k_max, 1, REPORT_EPS), repeat)})
     return rows
 
 

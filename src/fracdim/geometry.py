@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .higuchi import _loglog_fit, _stride_averages, regression_slope
-from .series import _EVAL_LIMIT, TimeSeries
+from .series import _EVAL_LIMIT, TimeSeries, _integer
 from .signals import as_callable
 
 DEFAULT_DELTA_MIN = 1e-3
@@ -54,6 +54,7 @@ def box_count(
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"mesh size must lie in (0, 1], got {delta}")
+    samples_per_column = _integer(samples_per_column, "samples_per_column", DomainError)
     if samples_per_column < 2:
         raise DomainError(f"need at least 2 samples per column, got {samples_per_column}")
     f = as_callable(spec, n_samples=n_samples)
@@ -121,6 +122,7 @@ def box_dim_estimate(
         raise DomainError(
             f"need 0 < delta_min < delta_max <= 1, got ({delta_min}, {delta_max})"
         )
+    levels = _integer(levels, "levels", DomainError)
     if levels < 2:
         raise DomainError(f"need at least 2 levels, got {levels}")
     deltas = np.geomspace(delta_min, delta_max, levels)

@@ -40,11 +40,13 @@ or area, which finite values reach only through overflow, raises
 The bump experiments of :mod:`fracdim.stability` run through
 :func:`_bumped_results`, which builds the unperturbed table once and keeps
 every length term.  A bump at sample j changes one offset per stride,
-m = (j-1) mod k + 1, so for each bump size only that column V(k, m) is
-recomputed per stride, by the same :func:`_sum_rows` over each run of
-strides with an equal count q (:func:`_touched_columns`); its term stands
-in for the old one while :func:`_stride_mean` averages the stride again:
-bit-identical to :func:`hfd` of the bumped series.
+m = (j-1) mod k + 1, so only that column V(k, m) is recomputed per stride.
+The samples it reads are laid out once per call, whatever the bump size:
+one (q+1)-row index table per run of strides with an equal count q, a
+strided slice for a stride alone.  Each bump sums their row differences by
+the same :func:`_sum_rows`, and the new term stands in for the old one
+while :func:`_stride_mean` averages the stride again: bit-identical to
+:func:`hfd` of the bumped series.
 """
 from __future__ import annotations
 
@@ -76,16 +78,21 @@ def _check_admissible(n: int, k_max) -> int:
     return k_max
 
 
-def _check_stride_offset(n: int, k: int, m: int) -> None:
+def _check_stride_offset(n, k, m) -> Tuple[int, int, int]:
+    """``(n, k, m)`` as ints; AdmissibilityError unless n is an integer
+    >= 2, DomainError unless k and m are integers with 1 <= m <= k."""
+    n = _integer(n, "n", AdmissibilityError)
+    k, m = _integer(k, "stride k", DomainError), _integer(m, "offset m", DomainError)
     if n < 2:
         raise AdmissibilityError(f"need n >= 2, got n={n}")
     if not 1 <= m <= k:
         raise DomainError(f"need 1 <= m <= k, got m={m}, k={k}")
+    return n, k, m
 
 
 def increments_count(n: int, k: int, m: int) -> int:
     """Number of valid increments q = floor((n-m)/k) of the (k, m) subseries."""
-    _check_stride_offset(n, k, m)
+    n, k, m = _check_stride_offset(n, k, m)
     if k > ceil_half(n):
         raise AdmissibilityError(f"need k <= ceil(n/2) = {ceil_half(n)}, got k={k}")
     return (n - m) // k
@@ -102,8 +109,7 @@ def normalization_constant(n: int, k: int, m: int) -> float:
 def variation_sum(ts: TimeSeries, k: int, m: int) -> float:
     """Sum of |X(m+ik) - X(m+(i-1)k)| over i = 1..q, accumulated in
     ascending i order; 0 when q = 0."""
-    n = ts.values.size
-    _check_stride_offset(n, k, m)
+    n, k, m = _check_stride_offset(ts.values.size, k, m)
     q = (n - m) // k
     if q < 1:
         return 0.0
@@ -237,39 +243,6 @@ def _length_terms(k: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return c * v / k
 
 
-def _touched_columns(values: np.ndarray, j: int, k_max: int):
-    """Strides k whose offset m = (j-1) mod k + 1, the one holding sample j,
-    has an increment; with that offset, its count q and its sum V(k, m) over
-    ``values``.
-
-    Each V adds |X(m+ik) - X(m+(i-1)k)| in ascending i, like the kernel's
-    column sums: the columns of a run of consecutive strides with the same
-    q are summed by :func:`_sum_rows` from the row differences of one
-    (q+1)-row table of their samples, and a stride alone from its
-    increments as one column.
-    """
-    n = values.size
-    k = np.arange(1, k_max + 1)
-    m = (j - 1) % k + 1
-    q = (n - m) // k
-    keep = q >= 1
-    k, m, q = k[keep], m[keep], q[keep]
-    first = m - 1
-    starts = [0, *(np.flatnonzero(np.diff(q)) + 1).tolist()]
-    ks, qs, firsts = k.tolist(), q.tolist(), first.tolist()
-    rows = np.arange(qs[0] + 1)[:, None]
-    out = []
-    for a, b in zip(starts, starts[1:] + [k.size]):
-        if b == a + 1:
-            x = values[firsts[a] : firsts[a] + qs[a] * ks[a] + 1 : ks[a], None]
-        else:
-            x = values[rows[: qs[a] + 1] * k[a:b] + first[a:b]]
-        d = x[1:] - x[:-1]
-        np.abs(d, out=d)
-        out.append(_sum_rows(d))
-    return k, m, q, np.concatenate(out)
-
-
 def curve_lengths(ts: TimeSeries, k_max: int) -> np.ndarray:
     """Per-stride lengths L(1..k_max).
 
@@ -283,18 +256,25 @@ def regression_slope(points) -> Tuple[float, float]:
     """Least-squares slope and intercept through a set of (x, y) points.
 
     slope = sum((x - xbar)(y - ybar)) / sum((x - xbar)^2)
+
+    DomainError for a non-finite point, or for sums that overflow.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise DegenerateRegressionError("need at least two (x, y) points")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("regression points must be finite")
     x = pts[:, 0]
     y = pts[:, 1]
-    dx = x - x.mean()
-    denom = float(np.sum(dx * dx))
-    if denom == 0.0:
-        raise DegenerateRegressionError("all x coordinates are equal")
-    slope = float(np.sum(dx * (y - y.mean())) / denom)
-    intercept = float(y.mean() - slope * x.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        denom = float(np.sum(dx * dx))
+        if denom == 0.0:
+            raise DegenerateRegressionError("all x coordinates are equal")
+        slope = float(np.sum(dx * (y - y.mean())) / denom)
+        intercept = float(y.mean() - slope * x.mean())
+    if not (math.isfinite(denom) and math.isfinite(slope) and math.isfinite(intercept)):
+        raise DomainError("the regression sums overflow in floating point")
     return slope, intercept
 
 
@@ -305,9 +285,13 @@ def _loglog_fit(values, x_of) -> Tuple[float, Optional[float], Tuple[int, ...], 
     Returns (slope, intercept, index_set, points).  The zero test is exact:
     tiny nonzero values enter the fit, which is what makes the estimator
     perturbation-sensitive.  With one or zero usable strides the slope falls
-    back to 1 and the intercept is None.
+    back to 1 and the intercept is None.  DomainError names the first
+    stride whose value is negative or not finite.
     """
     vals = np.asarray(values, dtype=float).tolist()
+    for k, value in enumerate(vals, 1):
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"the value at stride k={k} is {value!r}: need a finite value >= 0")
     index_set = tuple(k for k, value in enumerate(vals, 1) if value != 0.0)
     points = np.array(
         [(x_of(k), math.log(vals[k - 1])) for k in index_set]
@@ -386,23 +370,47 @@ def _bumped_results(ts: TimeSeries, k_max, j, eps_values) -> Tuple[HfdResult, Li
     """``hfd(ts, k_max)`` and ``hfd(perturb(ts, j, eps), k_max)`` for each
     eps in ``eps_values``, from one table of ``ts``.  ``k_max`` and the bump
     index ``j`` are checked first, in that order, so that a refused index
-    costs no table."""
+    costs no table.  The touched strides, those whose offset
+    m = (j-1) mod k + 1 has an increment, are laid out once for every eps.
+    """
     k_max = _check_admissible(ts.n, k_max)
     j = _check_index(ts, j)
+    n = ts.n
     terms: List[List[float]] = []
     lengths = _stride_averages(ts, k_max, _length_terms, "length", kept=terms)
+    ks = np.arange(1, k_max + 1)
+    ms = (j - 1) % ks + 1
+    qs = (n - ms) // ks
+    keep = qs >= 1
+    ks, ms, qs = ks[keep], ms[keep], qs[keep]
+    cs = (n - 1) / (qs * ks)  # C(n, k, m) as _stride_averages computes it
+    first = ms - 1
+    cells, counts = list(zip(ks.tolist(), ms.tolist())), qs.tolist()
+    rows = np.arange(counts[0] + 1)[:, None]
+    starts = [0, *(np.flatnonzero(np.diff(qs)) + 1).tolist()]
+    layouts = []
+    for a, b in zip(starts, starts[1:] + [ks.size]):
+        (k, m), q = cells[a], counts[a]
+        if b == a + 1:
+            layouts.append((slice(m - 1, m + q * k, k), None))
+        else:
+            layouts.append(rows[: q + 1] * ks[a:b] + first[a:b])
     bumped = []
     for eps in eps_values:
         values = perturb(ts, j, eps).values
         out = lengths.copy()
         with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
-            ks, ms, qs, v = _touched_columns(values, j, k_max)
-            # C(n, k, m) as _stride_averages computes it
-            new_terms = _length_terms(ks, (ts.n - 1) / (qs * ks), v)
-        for k, m, term in zip(ks.tolist(), ms.tolist(), new_terms.tolist()):
+            columns = []
+            for t in layouts:
+                x = values[t]
+                d = x[1:] - x[:-1]
+                np.abs(d, out=d)
+                columns.append(_sum_rows(d))
+            new_terms = _length_terms(ks, cs, np.concatenate(columns))
+        for (k, m), term in zip(cells, new_terms.tolist()):
             row = terms[k - 1]
             old, row[m - 1] = row[m - 1], term
             out[k - 1] = _stride_mean(k, row, "length")
             row[m - 1] = old
-        bumped.append(_hfd_result(ts.n, out))
-    return _hfd_result(ts.n, lengths), bumped
+        bumped.append(_hfd_result(n, out))
+    return _hfd_result(n, lengths), bumped

@@ -37,16 +37,20 @@ def _integer(value, name: str, error) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
-def _check_sample_count(n: int) -> None:
+def _check_sample_count(n) -> int:
+    """``n`` as an int; AdmissibilityError unless it is an integer (not a
+    bool) with 2 <= n <= ``_EVAL_LIMIT``."""
+    n = _integer(n, "sample count n", AdmissibilityError)
     if n < 2:
         raise AdmissibilityError(f"need at least 2 samples, got n={n}")
     if n > _EVAL_LIMIT:
         raise AdmissibilityError(f"need at most {_EVAL_LIMIT} samples, got n={n}")
+    return n
 
 
 def sample_grid(n: int) -> np.ndarray:
     """Grid points (j-1)/(n-1) for j = 1..n as an exact integer/integer division."""
-    _check_sample_count(n)
+    n = _check_sample_count(n)
     return np.arange(n, dtype=float) / (n - 1)
 
 
@@ -79,7 +83,7 @@ class TimeSeries:
 
 def sample(spec: "SignalSpec", n: int) -> TimeSeries:
     """Sample a signal at the n uniform grid points of [0, 1]."""
-    _check_sample_count(n)
+    n = _check_sample_count(n)
     return TimeSeries(spec.sample_values(n))
 
 

@@ -271,7 +271,7 @@ class PeriodicInterp:
 
     def sample_values(self, n: int) -> np.ndarray:
         """X(j) = c[((j-1) mod kappa) + 1] for j = 1..n, kappa <= ceil(n/2)."""
-        _check_sample_count(n)
+        n = _check_sample_count(n)
         kappa = len(self.values)
         if kappa > (n + 1) // 2:
             raise AdmissibilityError(
@@ -292,7 +292,7 @@ class Alternating:
 
     def sample_values(self, n: int) -> np.ndarray:
         """X(j) = c1 for odd j and c2 for even j, j = 1..n."""
-        _check_sample_count(n)
+        n = _check_sample_count(n)
         j = np.arange(1, n + 1)
         return np.where(j % 2 == 1, float(self.c1), float(self.c2))
 

@@ -15,9 +15,9 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EmptySubseriesError
+from .errors import AdmissibilityError, DomainError, EmptySubseriesError
 from .higuchi import increments_count, variation_sum
-from .series import _EVAL_LIMIT, sample
+from .series import _EVAL_LIMIT, _integer, sample
 from .signals import as_callable
 
 TRACE_BASE_INTERVALS = 64
@@ -110,6 +110,7 @@ def total_variation_estimate(spec, levels: int) -> TvEstimate:
     every level holds the same values as a grid evaluated from scratch.
     Each level is summed left to right.
     """
+    levels = _integer(levels, "levels", DomainError)
     if levels < 2:
         raise DomainError(f"need at least 2 levels, got {levels}")
     if levels > _MAX_TRACE_LEVELS:
@@ -154,7 +155,7 @@ def variation_convergence_check(spec, k: int, m: int, n_grid) -> List[Convergenc
     specs raise DomainError, as they have no continuous form (see
     :func:`as_callable`).
     """
-    grid = [int(n) for n in n_grid]
+    grid = [_integer(n, "n_grid entry", AdmissibilityError) for n in n_grid]
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
     as_callable(spec)  # DomainError for grid-defined specs

@@ -131,6 +131,22 @@ class TestBoxDimEstimate:
         with pytest.raises(DomainError):
             box_dim_estimate(Constant(0.0), levels=1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"levels": 2.5}, {"levels": 4.0}, {"levels": True}, {"samples_per_column": 2.5}, {"samples_per_column": 33.0}],
+    )
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(DomainError, match=r" must be an integer, got "):
+            box_dim_estimate(Affine(1.0, 0.0), **kwargs)
+        if "samples_per_column" in kwargs:
+            with pytest.raises(DomainError, match=r"^samples_per_column must be an integer, got "):
+                box_count(Affine(1.0, 0.0), 0.5, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        got = box_dim_estimate(Affine(1.0, 0.0), levels=np.int64(3), samples_per_column=np.int32(5))
+        expected = box_dim_estimate(Affine(1.0, 0.0), levels=3, samples_per_column=5)
+        assert got.to_dict() == expected.to_dict()
+
     def test_serialization_shapes(self, capsys):
         argv = [
             "boxdim", "--signal", '{"kind": "affine", "a": 1.0, "b": 0.0}',

@@ -95,6 +95,33 @@ class TestIncrementsCount:
             increments_count(11, 7, 1)
 
 
+    @pytest.mark.parametrize(
+        "n, k, m, error",
+        [
+            (10, 2.5, 1, DomainError),
+            (10, 2.0, 1, DomainError),
+            (10, True, 1, DomainError),
+            (10, 2, 1.0, DomainError),
+            (10, 2, None, DomainError),
+            (10.0, 2, 1, AdmissibilityError),
+            (10.5, 2, 1, AdmissibilityError),
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, n, k, m, error):
+        with pytest.raises(error, match=r" must be an integer, got "):
+            increments_count(n, k, m)
+        with pytest.raises(error, match=r" must be an integer, got "):
+            normalization_constant(n, k, m)
+        if isinstance(n, int):
+            with pytest.raises(error, match=r" must be an integer, got "):
+                variation_sum(sample(Affine(1.0, 0.0), n), k, m)
+
+    def test_numpy_integer_arguments_accepted(self):
+        q = increments_count(np.int64(10), np.int32(3), np.int64(2))
+        assert q == 2 and type(q) is int
+        assert normalization_constant(np.int64(10), np.int64(3), 2) == normalization_constant(10, 3, 2)
+
+
 class TestNormalizationConstant:
     @pytest.mark.parametrize("n", [2, 10, 101])
     def test_unit_stride_is_one(self, n):
@@ -176,6 +203,20 @@ class TestRegressionSlope:
         slope, _ = regression_slope([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
         assert slope == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 0.0), (1.0, math.nan)],
+            [(0.0, 0.0), (math.inf, 1.0)],
+            [(0.0, -math.inf), (1.0, 0.0), (2.0, 1.0)],
+            [(1.5e308, 0.0), (1.6e308, 1.0)],  # the mean of x overflows
+            [(0.0, -1.7e308), (1.0, 1.7e308)],  # the slope overflows
+        ],
+    )
+    def test_non_finite_or_overflowing_points_rejected(self, points):
+        with pytest.raises(DomainError):
+            regression_slope(points)
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateRegressionError):
             regression_slope([(1.0, 2.0)])
@@ -200,6 +241,13 @@ class TestFitLengths:
         slope, intercept, index_set, points = fit_lengths([0.0, 3.0, 0.0])
         assert slope == 1.0 and intercept is None
         assert index_set == (2,) and points.shape == (1, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_negative_or_non_finite_value_rejected(self, bad):
+        with pytest.raises(DomainError, match=r"^the value at stride k=2 is "):
+            fit_lengths([1.0, bad, 0.5, bad])
+        with pytest.raises(DomainError, match=r"^the value at stride k=3 is "):
+            fit_lengths([0.0, 0.0, bad])
 
     def test_empty_falls_back_to_one(self):
         slope, intercept, index_set, _ = fit_lengths([0.0, 0.0])

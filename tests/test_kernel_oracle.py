@@ -342,9 +342,9 @@ class TestOverflow:
         bumped = perturb(ts, 1, 0.9e308)
         with np.errstate(over="ignore"):
             lengths, _ = oracle_length_table(bumped, k_max, want_detail=False)
-            _, _, q, _ = higuchi._touched_columns(bumped.values, 1, k_max)
         first = int(np.flatnonzero(~np.isfinite(lengths))[0]) + 1
-        assert first == 61 and q[first - 1] == q[first] == 4
+        # j = 1 bumps offset m = 1, whose count is q = (n-1)//k
+        assert first == 61 and (n - 1) // first == (n - 1) // (first + 1) == 4
         for fn in (lambda: stability_report(ts, k_max, j=1, eps=0.9e308),
                    lambda: divergence_trace(ts, k_max, 1, [0.9e308, 1e-3])):
             with pytest.raises(DomainError, match=rf"length at stride k={first} "):

@@ -76,6 +76,17 @@ class TestSample:
                 with pytest.raises(AdmissibilityError, match="at most"):
                     grid(n)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0), True, None, "4"])
+    def test_non_integer_sample_count_rejected(self, n):
+        grids = (sample_grid, Alternating(0.0, 1.0).sample_values, PeriodicInterp((1.0, 2.0)).sample_values)
+        for grid in grids + (lambda n: sample(Alternating(0.0, 1.0), n),):
+            with pytest.raises(AdmissibilityError, match="^sample count n must be an integer, got "):
+                grid(n)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        assert list(sample(Alternating(0.0, 1.0), np.int64(3)).values) == [0.0, 1.0, 0.0]
+        assert list(sample_grid(np.int32(3))) == [0.0, 0.5, 1.0]
+
     def test_affine_second_differences_within_ulp(self):
         ts = sample(Affine(-7.3, 2.1), 400)
         second = np.diff(ts.values, n=2)

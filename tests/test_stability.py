@@ -211,6 +211,18 @@ class TestIncrementalBump:
                 assert_same_result(report.perturbed, hfd(bumped, k_max))
         assert absorbed == n  # only the 1e-17 bump, at every j
 
+    @pytest.mark.parametrize("kind", ["alternating", "periodic", "uniform"])
+    @pytest.mark.parametrize("n", [7, 8, 31, 40])
+    def test_one_layout_serves_every_eps(self, n, kind):
+        # one call lays out the touched columns once for all of ORACLE_EPS
+        ts = oracle_series(kind, n)
+        k_max = ceil_half(n)
+        for j in range(1, n + 1):
+            _, perts = higuchi._bumped_results(ts, k_max, j, ORACLE_EPS)
+            assert len(perts) == len(ORACLE_EPS)
+            for eps, pert in zip(ORACLE_EPS, perts):
+                assert_same_result(pert, hfd(perturb(ts, j, eps), k_max))
+
     @pytest.mark.parametrize("j", [1, 2, 5])
     def test_trace_rows_match_full_estimates(self, alternating_series, j):
         grid = (1e-4, 1e-8, 1e-12, 1e-17)

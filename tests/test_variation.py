@@ -20,7 +20,7 @@ from fracdim import (
     variation_over_partition,
     variation_sum,
 )
-from fracdim.errors import DomainError, EmptySubseriesError
+from fracdim.errors import AdmissibilityError, DomainError, EmptySubseriesError
 from fracdim.cli import main
 
 
@@ -214,6 +214,30 @@ def rational_partition_sum(values):
     for a, b in zip(values, values[1:]):
         total += abs(Fraction(float(b)) - Fraction(float(a)))
     return total
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: total_variation_estimate(single_sinusoid, 2.5), DomainError),
+        (lambda: total_variation_estimate(single_sinusoid, 3.0), DomainError),
+        (lambda: total_variation_estimate(single_sinusoid, True), DomainError),
+        (lambda: variation_convergence_check(Oscillation(20.0), 2, 1, [10.7]), AdmissibilityError),
+        (lambda: variation_convergence_check(Oscillation(20.0), 2, 1, [10, 20.0]), AdmissibilityError),
+        (lambda: variation_convergence_check(Oscillation(20.0), 2.0, 1, [10]), DomainError),
+        (lambda: variation_convergence_check(Oscillation(20.0), 2, 1.5, [10]), DomainError),
+    ],
+)
+def test_non_integer_counts_rejected(call, error):
+    with pytest.raises(error, match=r" must be an integer, got "):
+        call()
+
+
+def test_numpy_integer_counts_accepted():
+    spec = Oscillation(20.0)
+    assert total_variation_estimate(spec, np.int64(3)).estimate == total_variation_estimate(spec, 3).estimate
+    rows = variation_convergence_check(spec, np.int64(2), np.int32(1), np.array([10, 20]))
+    assert rows == variation_convergence_check(spec, 2, 1, [10, 20])
 
 
 class TestRefinementMonotonicity:
