@@ -2,8 +2,10 @@
 
 Times `hfd` and `geometric_hfd` on Gaussian noise at N = 260, 420, 1000 and
 4000 with k_max = ceil(N/2), `hfd` at N = 1e5 with k_max = 256 (the largest
-`hfd --input` op of perfbench's `long_series`), and on an alternating
-series a five-value `divergence_trace` and a one-bump `stability_report`
+`hfd --input` op of perfbench's `long_series`) and with k_max = 2000,
+where strides from k = 330 on share full-row counts but the size cap on a
+stacked table keeps each stride alone, and on an alternating series a
+five-value `divergence_trace` and a one-bump `stability_report`
 (j = 1, eps = 1e-10) at N = 150 (the bump size of perfbench's
 `paper_scale`) and at N = 4000: the layout of a bump experiment is built
 once per call, so the report shows that cost and the trace its per-eps
@@ -32,7 +34,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (260, 420, 1000, 4000)
-LONGS = ((100_000, 256),)
+LONGS = ((100_000, 256), (100_000, 2000))
 TRACE_SIZES = (150, 4000)
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 REPORT_EPS = 1e-10

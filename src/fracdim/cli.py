@@ -257,10 +257,9 @@ _INT_LIST = _comma_list(int, "integers")
 _FLOAT_LIST = _comma_list(float, "numbers")
 
 
-def _add_signal_source(parser, with_input: bool) -> None:
+def _add_signal_source(parser) -> None:
     parser.add_argument("--signal", help="named signal, inline JSON object, or JSON file path")
-    if with_input:
-        parser.add_argument("--input", help="series CSV produced by gen")
+    parser.add_argument("--input", help="series CSV produced by gen")
     parser.add_argument("--n", type=int, help="number of samples")
 
 
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("hfd", help="estimate the dimension of a series")
-    _add_signal_source(p, with_input=True)
+    _add_signal_source(p)
     _add_kmax(p)
     p.add_argument("--detail", action="store_true", help="include the per-(k, m) table")
     _add_common_output(p, "json")
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tv)
 
     p = sub.add_parser("stability", help="before/after report for a single-sample bump")
-    _add_signal_source(p, with_input=True)
+    _add_signal_source(p)
     _add_kmax(p)
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--index", type=int, default=DEFAULT_INDEX, help="1-based sample to bump")

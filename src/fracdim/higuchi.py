@@ -12,18 +12,18 @@ q = 0 (possible at k = ceil(N/2) for odd N) are excluded from the per-k
 average; offset m = 1 always has an increment at admissible sizes.
 
 The lengths here and the mesh areas of :mod:`fracdim.geometry` are averaged
-by :func:`_stride_averages` from one (k, m, q, C, V) table.  It works
-through blocks of consecutive strides of at most ``_BLOCK_CELLS`` (k, m)
-cells: per block, a handful of vectorised calls give every cell's m, q, C
-and term, and one ``tolist`` hands the terms to Python, so the per-stride
-bookkeeping costs no numpy calls of its own.  The V columns are summed per
-run of consecutive strides that share the full-row count f = (N-k)//k, a
-lone stride being a run of one (:func:`_run_columns`): the run's (f+2, k)
-sample tables, read from the series padded with NaN, stand side by side in
-one table, whose row differences hold every increment and whose padding
-adds +0.0.  At the paper's sizes (N of a few hundred, k_max = ceil(N/2))
-most strides have one to four increments per offset, and one table per run
-in place of one per stride saves about 40% of the V stage (N = 340).
+by :func:`_stride_averages` from one (k, m, q, C, V) table, in blocks of
+consecutive strides of at most ``_BLOCK_CELLS`` (k, m) cells cut into runs
+of strides that share the full-row count f = (N-k)//k, both drawn in one
+walk over the strides (:func:`_stride_blocks`).  Per block, a few vectorised
+calls give every cell's m, q, C and term, and one ``tolist`` hands the terms
+to Python.  A run's V columns (a lone stride is a run of one) come from one
+table, its strides' (f+2, k) sample tables side by side, read from the
+series padded with NaN (:func:`_run_columns`): its row differences hold
+every increment and its padding adds +0.0.  At the paper's sizes (N of a few
+hundred, k_max = ceil(N/2)) most strides have one to four increments per
+offset, and one table per run in place of one per stride saves about 40% of
+the V stage (N = 340).
 
 The summation order is fixed, because the exact zero test on L(k) and the
 frozen golden values depend on every bit: each V(k, m) is a sequential
@@ -154,33 +154,25 @@ def _stride_mean(k: int, terms: list, what: str) -> float:
     return mean
 
 
-def _stride_blocks(k_max: int):
-    """Consecutive stride ranges [lo, hi) covering 1..k_max, each of at most
-    ``_BLOCK_CELLS`` (k, m) cells, or of one stride that alone exceeds it."""
-    lo = 1
-    while lo <= k_max:
-        hi, cells = lo + 1, lo
-        while hi <= k_max and cells + hi <= _BLOCK_CELLS:
-            cells += hi
-            hi += 1
-        yield lo, hi
-        lo = hi
-
-
-def _stride_runs(lo: int, full: List[int]):
-    """Runs (a, b, f) of the strides lo, lo+1, ... whose full-row counts
-    (N-k)//k are ``full``: the strides a..b-1 share the count f, and their
-    stacked (f+2)-row table holds at most ``_BLOCK_CELLS`` entries, unless
-    the run is one stride."""
-    a, end = lo, lo + len(full)
-    while a < end:
-        f = full[a - lo]
-        b, cells = a + 1, a
-        while b < end and full[b - lo] == f and (f + 2) * (cells + b) <= _BLOCK_CELLS:
-            cells += b
-            b += 1
-        yield a, b, f
-        a = b
+def _stride_blocks(n: int, k_max: int):
+    """The strides 1..k_max in blocks of at most ``_BLOCK_CELLS`` (k, m)
+    cells, or of one stride that alone exceeds it, each a list of runs
+    (a, b, f) of the strides a..b-1: a run grows while the next stride shares
+    its full-row count f = (n-k)//k, fits in the block and keeps the run's
+    stacked (f+2)-row table within ``_BLOCK_CELLS`` entries."""
+    a = 1
+    while a <= k_max:
+        runs, cells = [], 0
+        while a <= k_max and (not runs or cells + a <= _BLOCK_CELLS):
+            b, f, stacked = a + 1, (n - a) // a, a
+            while (b <= k_max and (n - b) // b == f and cells + stacked + b <= _BLOCK_CELLS
+                   and (f + 2) * (stacked + b) <= _BLOCK_CELLS):
+                stacked += b
+                b += 1
+            runs.append((a, b, f))
+            cells += stacked
+            a = b
+        yield runs
 
 
 def _run_columns(padded: np.ndarray, a: int, b: int, f: int) -> np.ndarray:
@@ -214,7 +206,8 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kep
     padded = np.concatenate([ts.values, np.full(k_max, np.nan)])
     out = []
     with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
-        for lo, hi in _stride_blocks(k_max):
+        for runs in _stride_blocks(n, k_max):
+            lo, hi = runs[0][0], runs[-1][1]
             ks = np.arange(lo, hi)
             full, r = np.divmod(n - ks, ks)
             # every offset has an increment, or without a full row the first r
@@ -224,7 +217,7 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kep
             m = np.arange(1, ends[-1] + 1) - np.repeat(ends - count, count)
             q = np.repeat(full, count) + (m <= np.repeat(r, count))
             c = (n - 1) / (q * k)
-            columns = [_run_columns(padded, a, b, f) for a, b, f in _stride_runs(lo, full.tolist())]
+            columns = [_run_columns(padded, a, b, f) for a, b, f in runs]
             # drops the column of the one offset without an increment (f = 0)
             v = np.concatenate(columns)[: ends[-1]]
             terms = term(k, c, v).tolist()

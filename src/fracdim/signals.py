@@ -187,8 +187,16 @@ def eval_spline(t, knot_values: TimeSeries):
     return _maybe_scalar(arr, out)
 
 
+class _ClosedForm:
+    """A signal that evaluates anywhere on [0, 1]: its samples are its
+    values on the sample grid."""
+
+    def sample_values(self, n: int) -> np.ndarray:
+        return self.evaluate(sample_grid(n))
+
+
 @dataclass(frozen=True)
-class Weierstrass:
+class Weierstrass(_ClosedForm):
     lam: float
     s: float
 
@@ -199,12 +207,9 @@ class Weierstrass:
     def evaluate(self, t):
         return eval_weierstrass(t, self.lam, self.s)
 
-    def sample_values(self, n: int) -> np.ndarray:
-        return eval_weierstrass(sample_grid(n), self.lam, self.s)
-
 
 @dataclass(frozen=True)
-class Oscillation:
+class Oscillation(_ClosedForm):
     c: float
 
     def __post_init__(self):
@@ -215,12 +220,9 @@ class Oscillation:
     def evaluate(self, t):
         return eval_oscillation(t, self.c)
 
-    def sample_values(self, n: int) -> np.ndarray:
-        return eval_oscillation(sample_grid(n), self.c)
-
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(_ClosedForm):
     a: float
     b: float
 
@@ -236,12 +238,9 @@ class Affine:
             raise DomainError(f"affine signal {self.a!r}*t + {self.b!r} overflows on [0, 1]")
         return _maybe_scalar(arr, out)
 
-    def sample_values(self, n: int) -> np.ndarray:
-        return self.evaluate(sample_grid(n))
-
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_ClosedForm):
     c: float
 
     def __post_init__(self):
@@ -250,9 +249,6 @@ class Constant:
     def evaluate(self, t):
         arr = _as_unit_interval(t)
         return _maybe_scalar(arr, np.full_like(arr, float(self.c)))
-
-    def sample_values(self, n: int) -> np.ndarray:
-        return self.evaluate(sample_grid(n))
 
 
 @dataclass(frozen=True)

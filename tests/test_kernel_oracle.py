@@ -8,7 +8,8 @@ The table does its bookkeeping per block of strides, so the comparisons
 also run with blocks of one stride, of at most 7 cells and of 2**16 cells.
 Within a block, strides that share the full-row count (N-k)//k are summed
 from one NaN-padded table per run; the cases below reach every shape of
-run, which ``test_cases_reach_every_run_shape`` checks.
+run, which ``test_cases_reach_every_run_shape`` checks, and
+``test_stride_partition`` checks the blocks and runs themselves.
 """
 import math
 import warnings
@@ -138,11 +139,33 @@ def _runs(n, k_max):
     """(a, b, f, end): the runs of strides a..b-1 sharing the full-row count
     f that the table forms at the current block size, each with the end of
     its block."""
-    out = []
-    for lo, hi in higuchi._stride_blocks(k_max):
-        full = [(n - k) // k for k in range(lo, hi)]
-        out += [(a, b, f, hi) for a, b, f in higuchi._stride_runs(lo, full)]
-    return out
+    return [(a, b, f, runs[-1][1]) for runs in higuchi._stride_blocks(n, k_max) for a, b, f in runs]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**12 - 1, 2**12, 2**16])
+def test_stride_partition(cells, monkeypatch):
+    # blocks and runs cover 1..k_max in order, keep both caps unless they
+    # hold one stride, and are maximal: the stride after a run has another
+    # count, breaks the run's cap or opens a block, which only a stride that
+    # breaks the block's cap does; 2**12 - 1 is the size here at which both
+    # caps are met exactly (no sum of two or more consecutive strides is a
+    # power of two)
+    monkeypatch.setattr(higuchi, "_BLOCK_CELLS", cells)
+    for n in [*range(2, 301), 1000, 2045, 2046, 4000]:
+        for k_max in sorted({1, n // 5, ceil_half(n)} - {0}):
+            blocks = list(higuchi._stride_blocks(n, k_max))
+            runs = [run for block in blocks for run in block]
+            assert [k for a, b, _ in runs for k in range(a, b)] == list(range(1, k_max + 1))
+            for block, after in zip(blocks, blocks[1:] + [None]):
+                block_cells = sum(range(block[0][0], block[-1][1]))
+                assert block_cells <= cells or block[-1][1] - block[0][0] == 1
+                if after is not None:
+                    assert block_cells + after[0][0] > cells
+                for a, b, f in block:
+                    assert a < b and all((n - k) // k == f for k in range(a, b))
+                    assert (f + 2) * sum(range(a, b)) <= cells or b - a == 1
+                for a, b, f in block[:-1]:
+                    assert (n - b) // b != f or (f + 2) * sum(range(a, b + 1)) > cells
 
 
 def test_cases_reach_every_run_shape(monkeypatch):
