@@ -12,12 +12,19 @@ once per call, so the report shows that cost and the trace its per-eps
 part.  Each time is recorded as the best, the median and the quartiles of
 its samples, under a label in a JSON file (by default
 `BENCH_kernel.json` at the root of the checkout), keeping the other labels
-there.  The best alone ranks two commits by luck on a noisy host; compare
-medians against the spread.  To compare two commits, run it once per
-checkout, each with its own `--src`, and alternate the runs:
+there.  To record two commits, run it once per checkout, each with its own
+`--src`:
 
     python bench/kernel.py --label parent --src ../parent/src
     python bench/kernel.py --label change
+
+Separate runs cannot rank the two on a noisy host: on a 2-CPU VM whole runs
+of one commit moved 30-56% between phases of the host, while each run's
+quartiles spanned a few percent, so a change lands outside the parent's
+interquartile range about as often for unchanged code as for a real
+difference.  To rank two commits, load both into one process (each
+package under its own module name) and alternate calls of the same op
+between them round by round; the per-round ratios share the host's phase.
 
 `--quick` runs the smallest sizes once, to check that the script still runs.
 """

@@ -27,7 +27,7 @@ from .geometry import (
     box_dim_estimate,
 )
 from .higuchi import ceil_half, hfd
-from .series import TimeSeries, read_csv, sample, to_csv_text
+from .series import TimeSeries, _check_sample_count, read_csv, sample, to_csv_text
 from .signals import (
     Affine,
     Alternating,
@@ -117,17 +117,16 @@ def _emit(args, header, rows, payload=None) -> None:
     _write_output(text, args.out)
 
 
-def _load_series(args) -> tuple[TimeSeries, SignalSpec | None]:
-    if getattr(args, "input", None):
+def _load_series(args) -> TimeSeries:
+    if args.input:
         if args.signal is not None:
             raise DomainError("pass either --signal or --input, not both")
-        return read_csv(args.input), None
+        return read_csv(args.input)
     if args.signal is None:
         raise DomainError("pass either --signal or --input")
     if args.n is None:
         raise DomainError("--signal needs --n")
-    spec = parse_signal(args.signal)
-    return sample(spec, args.n), spec
+    return sample(parse_signal(args.signal), args.n)
 
 
 def _resolve_kmax(args, n: int) -> int:
@@ -154,7 +153,7 @@ def cmd_gen(args) -> int:
 def cmd_hfd(args) -> int:
     if args.detail and args.format == "csv":
         raise DomainError("the per-(k, m) detail has only a JSON form: pass --format json, or drop --detail")
-    ts, _ = _load_series(args)
+    ts = _load_series(args)
     result = hfd(ts, _resolve_kmax(args, ts.n), detail=args.detail)
     payload = result.to_dict()
     if args.detail:
@@ -194,7 +193,7 @@ def cmd_tv(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    ts, _ = _load_series(args)
+    ts = _load_series(args)
     k_max = _resolve_kmax(args, ts.n)
     if args.eps_grid:
         rows = divergence_trace(ts, k_max, args.index, args.eps_grid)
@@ -221,11 +220,13 @@ def cmd_sweep(args) -> int:
         if args.n_step == 0:
             raise DomainError("--n-step must not be 0")
         # --n-max is included whichever way the steps go
-        grid = list(range(args.n_min, args.n_max + (1 if args.n_step > 0 else -1), args.n_step))
+        grid = range(args.n_min, args.n_max + (1 if args.n_step > 0 else -1), args.n_step)
         if not grid:
             raise DomainError(
                 f"no N from --n-min {args.n_min} to --n-max {args.n_max} in steps of {args.n_step}"
             )
+    # the largest N is refused before any N is sampled
+    _check_sample_count(max(grid[0], grid[-1]))
     rows = []
     for n in grid:
         k_max = _resolve_kmax(args, n)

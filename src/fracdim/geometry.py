@@ -125,6 +125,8 @@ def box_dim_estimate(
     levels = _integer(levels, "levels", DomainError)
     if levels < 2:
         raise DomainError(f"need at least 2 levels, got {levels}")
+    if levels > _EVAL_LIMIT:
+        raise DomainError(f"need at most {_EVAL_LIMIT} levels, got {levels}")
     deltas = np.geomspace(delta_min, delta_max, levels)
     counts = np.array(
         [box_count(spec, float(d), samples_per_column, n_samples=n_samples) for d in deltas]

@@ -113,8 +113,12 @@ def variation_sum(ts: TimeSeries, k: int, m: int) -> float:
     q = (n - m) // k
     if q < 1:
         return 0.0
-    sub = ts.values[m - 1 : m - 1 + q * k + 1 : k]
-    return float(np.cumsum(np.abs(np.diff(sub)))[-1])
+    return _partition_sum(ts.values[m - 1 : m - 1 + q * k + 1 : k])
+
+
+def _partition_sum(values: np.ndarray) -> float:
+    """Sum of |v_i - v_{i-1}|, accumulated left to right."""
+    return float(np.cumsum(np.abs(np.diff(values)))[-1])
 
 
 class DetailRow(NamedTuple):
@@ -377,17 +381,16 @@ def _bumped_results(ts: TimeSeries, k_max, j, eps_values) -> Tuple[HfdResult, Li
     keep = qs >= 1
     ks, ms, qs = ks[keep], ms[keep], qs[keep]
     cs = (n - 1) / (qs * ks)  # C(n, k, m) as _stride_averages computes it
-    first = ms - 1
-    cells, counts = list(zip(ks.tolist(), ms.tolist())), qs.tolist()
-    rows = np.arange(counts[0] + 1)[:, None]
+    cells = list(zip(ks.tolist(), ms.tolist(), qs.tolist()))
+    rows = np.arange(n)[:, None]  # stride 1 has the most increments, n - 1
     starts = [0, *(np.flatnonzero(np.diff(qs)) + 1).tolist()]
     layouts = []
     for a, b in zip(starts, starts[1:] + [ks.size]):
-        (k, m), q = cells[a], counts[a]
+        k, m, q = cells[a]
         if b == a + 1:
             layouts.append((slice(m - 1, m + q * k, k), None))
         else:
-            layouts.append(rows[: q + 1] * ks[a:b] + first[a:b])
+            layouts.append(rows[: q + 1] * ks[a:b] + (ms[a:b] - 1))
     bumped = []
     for eps in eps_values:
         values = perturb(ts, j, eps).values
@@ -400,7 +403,7 @@ def _bumped_results(ts: TimeSeries, k_max, j, eps_values) -> Tuple[HfdResult, Li
                 np.abs(d, out=d)
                 columns.append(_sum_rows(d))
             new_terms = _length_terms(ks, cs, np.concatenate(columns))
-        for (k, m), term in zip(cells, new_terms.tolist()):
+        for (k, m, _), term in zip(cells, new_terms.tolist()):
             row = terms[k - 1]
             old, row[m - 1] = row[m - 1], term
             out[k - 1] = _stride_mean(k, row, "length")

@@ -22,7 +22,8 @@ SERIES_CSV_HEADER = ("j", "t", "x")
 CSV_GRID_TOL = 1e-9
 # Most array elements one evaluation may hold in memory: the samples of a
 # series, the points x terms of a Weierstrass sum, the columns x samples of
-# a box count and the finest grid of a variation trace.
+# a box count, the mesh sizes of a box-dimension grid, the points of a
+# Higuchi partition and the finest grid of a variation trace.
 _EVAL_LIMIT = 50_000_000
 
 

@@ -16,7 +16,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, EmptySubseriesError
-from .higuchi import increments_count, variation_sum
+from .higuchi import _partition_sum, increments_count, variation_sum
 from .series import _EVAL_LIMIT, _integer, sample
 from .signals import as_callable
 
@@ -62,11 +62,6 @@ class Partition:
         return Partition(np.sort(np.append(self.points, float(t))))
 
 
-def _partition_sum(values: np.ndarray) -> float:
-    """Sum of |v_i - v_{i-1}|, accumulated left to right."""
-    return float(np.cumsum(np.abs(np.diff(values)))[-1])
-
-
 def variation_over_partition(spec, partition: Partition) -> float:
     """Partition sum of |f(t_i) - f(t_{i-1})|, accumulated left to right."""
     if partition.a < 0.0 or partition.b > 1.0:
@@ -84,6 +79,10 @@ def higuchi_partition(n: int, k: int, m: int) -> Partition:
     q = increments_count(n, k, m)
     if q == 0:
         raise EmptySubseriesError(f"no increments for n={n}, k={k}, m={m}")
+    # the q + 1 inner points, and 0 and 1 unless the subseries starts or ends there
+    points = q + 1 + (m > 1) + (m + q * k < n)
+    if points > _EVAL_LIMIT:
+        raise DomainError(f"need at most {_EVAL_LIMIT} partition points, got {points}")
     i = np.arange(q + 1)
     inner = (m + i * k - 1) / (n - 1)
     return Partition(np.unique(np.concatenate((inner, [0.0, 1.0]))))

@@ -289,6 +289,23 @@ class TestSweep:
         expected = hfd(sample(Weierstrass(5.0, 1.7), 80), 40).slope
         assert payload[1] == {"N": 80, "D": expected}
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--n-grid", f"100,{10**18}"],
+            ["--n-min", "2", "--n-max", str(10**18)],
+            ["--n-min", str(10**18), "--n-max", "2", "--n-step", "-1"],
+        ],
+    )
+    def test_largest_n_refused_before_sampling(self, grid, monkeypatch, capsys):
+        # a range is never built as a list, and no N is sampled when the
+        # largest is beyond the 50M-sample limit
+        sampled = []
+        monkeypatch.setattr("fracdim.cli.sample", lambda spec, n: sampled.append(n))
+        assert run_cli("sweep", "--signal", "oscillation", *grid, "--kmax", "1") == 2
+        assert f"error: need at most 50000000 samples, got n={10**18}" in capsys.readouterr().err
+        assert sampled == []
+
     def test_kmax_with_half_rule_conflict(self, tmp_path, capsys):
         out = tmp_path / "sw.csv"
         argv = ["sweep", "--signal", "oscillation", "--n-grid", "40,80", "--kmax", "2", "--kmax-rule", "half"]
@@ -496,6 +513,13 @@ BAD_INPUTS = {
     "n_beyond_array_size": (["gen", "--signal", "constant", "--n", str(10**20)], "at most"),
     "n_beyond_eval_limit": (["gen", "--signal", "constant", "--n", str(10**17)], "need at most 50000000 samples"),
     "tv_levels_beyond_eval_limit": (["tv", "--signal", "oscillation", "--levels", "21"], "need at most 20 levels"),
+    "boxdim_levels_beyond_eval_limit": (
+        ["boxdim", "--signal", "oscillation", "--levels", str(10**18)], "need at most 50000000 levels"
+    ),
+    "sweep_n_beyond_eval_limit": (
+        ["sweep", "--signal", "oscillation", "--n-min", "2", "--n-max", str(10**18), "--kmax", "1"],
+        "need at most 50000000 samples",
+    ),
     "mesh_inverse_overflows": (
         ["boxdim", "--signal", "oscillation", "--delta-min", "5e-324", "--levels", "2"], "1/delta overflows"
     ),

@@ -131,6 +131,14 @@ class TestBoxDimEstimate:
         with pytest.raises(DomainError):
             box_dim_estimate(Constant(0.0), levels=1)
 
+    def test_levels_beyond_eval_limit_refused_before_allocating(self):
+        # the mesh-size grid of 10**18 levels would need 8 EB; fewer than 2
+        # levels keep their own message
+        with pytest.raises(DomainError, match=r"^need at most 50000000 levels, got 1000000000000000000$"):
+            box_dim_estimate(Constant(0.0), levels=10**18)
+        with pytest.raises(DomainError, match=r"^need at least 2 levels, got 1$"):
+            box_dim_estimate(Constant(0.0), levels=1)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"levels": 2.5}, {"levels": 4.0}, {"levels": True}, {"samples_per_column": 2.5}, {"samples_per_column": 33.0}],

@@ -1,9 +1,10 @@
 """The (k, m) length table against the estimator's first, loop-based form.
 
 The oracle below is the original double loop over strides and offsets, one
-``variation_sum`` call per (k, m) and a Python ``sum`` per stride.  The table
-in :mod:`fracdim.higuchi` must reproduce it bit for bit: the exact zero test
-on L(k) and the frozen golden values leave no room for rounding changes.
+``variation_sum`` call per (k, m) and a Python ``sum`` per stride, written
+once for lengths and areas alike.  The table in :mod:`fracdim.higuchi` must
+reproduce it bit for bit: the exact zero test on L(k) and the frozen golden
+values leave no room for rounding changes.
 The table does its bookkeeping per block of strides, so the comparisons
 also run with blocks of one stride, of at most 7 cells and of 2**16 cells.
 Within a block, strides that share the full-row count (N-k)//k are summed
@@ -45,10 +46,12 @@ from fracdim.higuchi import DetailRow, ceil_half
 from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS
 
 
-def oracle_length_table(ts, k_max, want_detail):
+def oracle_averages(ts, k_max, term, want_detail=False):
+    """Per-stride averages of ``term(k, c, v)`` over the offsets with an
+    increment, and the (k, m) rows when ``want_detail``."""
     n = ts.n
     assert 1 <= k_max <= ceil_half(n)
-    lengths = np.zeros(k_max)
+    out = np.zeros(k_max)
     detail = [] if want_detail else None
     for k in range(1, k_max + 1):
         terms = []
@@ -58,29 +61,19 @@ def oracle_length_table(ts, k_max, want_detail):
                 continue
             v = variation_sum(ts, k, m)
             c = (n - 1) / (q * k)
-            length_m = c * v / k
-            terms.append(length_m)
+            terms.append(term(k, c, v))
             if want_detail:
-                detail.append(DetailRow(k, m, c, v, length_m))
-        lengths[k - 1] = sum(terms) / len(terms) if terms else 0.0
-    return lengths, detail
+                detail.append(DetailRow(k, m, c, v, terms[-1]))
+        out[k - 1] = sum(terms) / len(terms) if terms else 0.0
+    return out, detail
+
+
+def oracle_length_table(ts, k_max, want_detail):
+    return oracle_averages(ts, k_max, lambda k, c, v: c * v / k, want_detail)
 
 
 def oracle_tilde_lengths(ts, k_max):
-    n = ts.n
-    assert 1 <= k_max <= ceil_half(n)
-    out = np.zeros(k_max)
-    for k in range(1, k_max + 1):
-        terms = []
-        for m in range(1, k + 1):
-            q = (n - m) // k
-            if q < 1:
-                continue
-            v = variation_sum(ts, k, m)
-            c = (n - 1) / (q * k)
-            terms.append((k / (n - 1)) * c * v)
-        out[k - 1] = sum(terms) / len(terms) if terms else 0.0
-    return out
+    return oracle_averages(ts, k_max, lambda k, c, v: (k / (ts.n - 1)) * c * v)[0]
 
 
 def oracle_geometric_hfd(ts, k_max):

@@ -113,6 +113,16 @@ class TestHiguchiPartition:
         with pytest.raises(EmptySubseriesError):
             higuchi_partition(11, 6, 6)
 
+    def test_beyond_eval_limit_refused_before_allocating(self):
+        # 10**18 points would need 8 EB
+        with pytest.raises(DomainError, match=r"^need at most 50000000 partition points, got 1000000000000000000$"):
+            higuchi_partition(10**18, 1, 1)
+
+    def test_point_count_not_n_is_limited(self):
+        # N = 10**12, but only three points: those of X(1) and X(N/2 + 1), and 1
+        points = higuchi_partition(10**12, 5 * 10**11, 1).points
+        assert points.tolist() == [0.0, 5 * 10**11 / (10**12 - 1), 1.0]
+
 
 class TestTotalVariationEstimate:
     def test_affine_flat_trace(self):
