@@ -1,4 +1,4 @@
-"""Layer bench of the (k, m) kernel: `hfd`, `geometric_hfd` and the bump experiments.
+"""Layer bench of the (k, m) kernel, `hfd`, `geometric_hfd` and the bump experiments, and of signal sampling.
 
 Times `hfd` and `geometric_hfd` on Gaussian noise at N = 260, 420, 1000 and
 4000 with k_max = ceil(N/2), `hfd` at N = 1e5 with k_max = 256 (the largest
@@ -9,7 +9,10 @@ five-value `divergence_trace` and a one-bump `stability_report`
 (j = 1, eps = 1e-10) at N = 150 (the bump size of perfbench's
 `paper_scale`) and at N = 4000: the layout of a bump experiment is built
 once per call, so the report shows that cost and the trace its per-eps
-part.  Each time is recorded as the best, the median and the quartiles of
+part.  The signal-sampling layer is timed as `sample(Weierstrass(5, 1.7), N)`
+at N = 1e5, and one extra call outside the timed samples records its
+tracemalloc peak, the memory of its one points x terms table.  Each time
+is recorded as the best, the median and the quartiles of
 its samples, under a label in a JSON file (by default
 `BENCH_kernel.json` at the root of the checkout), keeping the other labels
 there.  To record two commits, run it once per checkout, each with its own
@@ -38,11 +41,13 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (260, 420, 1000, 4000)
 LONGS = ((100_000, 256), (100_000, 2000))
 TRACE_SIZES = (150, 4000)
+SAMPLE_SIZES = (100_000,)
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 REPORT_EPS = 1e-10
 REPEAT = 11
@@ -77,10 +82,19 @@ def commit_of(src: str) -> str:
     return out.stdout.strip()
 
 
-def run(sizes, longs, trace_sizes, repeat: int):
+def run(sizes, longs, trace_sizes, sample_sizes, repeat: int):
     import numpy as np
 
-    from fracdim import Alternating, TimeSeries, divergence_trace, geometric_hfd, hfd, sample, stability_report
+    from fracdim import (
+        Alternating,
+        TimeSeries,
+        Weierstrass,
+        divergence_trace,
+        geometric_hfd,
+        hfd,
+        sample,
+        stability_report,
+    )
     from fracdim.higuchi import ceil_half
 
     def noise(n):
@@ -103,6 +117,14 @@ def run(sizes, longs, trace_sizes, repeat: int):
                      **timing(lambda: divergence_trace(ts, k_max, 1, TRACE_GRID), repeat)})
         rows.append({"op": "stability_report", "n": n, "k_max": k_max, "j": 1, "eps": [REPORT_EPS],
                      **timing(lambda: stability_report(ts, k_max, 1, REPORT_EPS), repeat)})
+    spec = Weierstrass(5.0, 1.7)
+    for n in sample_sizes:
+        row = {"op": "sample", "signal": "weierstrass(5, 1.7)", "n": n, **timing(lambda: sample(spec, n), repeat)}
+        tracemalloc.start()
+        sample(spec, n)
+        row["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
+        tracemalloc.stop()
+        rows.append(row)
     return rows
 
 
@@ -123,9 +145,12 @@ def main(argv=None) -> int:
     if os.path.dirname(os.path.dirname(os.path.abspath(fracdim.__file__))) != src:
         print(f"fracdim was imported from {fracdim.__file__}, not from {src}", file=sys.stderr)
         return 1
-    sizes, longs, trace_sizes = (SIZES[:1], (), TRACE_SIZES[:1]) if args.quick else (SIZES, LONGS, TRACE_SIZES)
+    if args.quick:
+        sizes, longs, trace_sizes, sample_sizes = SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1]
+    else:
+        sizes, longs, trace_sizes, sample_sizes = SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES
     repeat = 1 if args.quick else REPEAT
-    rows = run(sizes, longs, trace_sizes, repeat)
+    rows = run(sizes, longs, trace_sizes, sample_sizes, repeat)
     record = {
         "commit": commit_of(src),
         "python": platform.python_version(),
@@ -135,8 +160,9 @@ def main(argv=None) -> int:
         "results": rows,
     }
     for row in rows:
-        print(f"{row['op']:>16} N={row['n']:<6} k_max={row['k_max']:<5} best {row['best_ms']:10.3f} ms"
-              f"  median {row['median_ms']:10.3f} [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}] ms")
+        peak = f"  peak {row['peak_mb']:.1f} MB" if "peak_mb" in row else ""
+        print(f"{row['op']:>16} N={row['n']:<6} k_max={row.get('k_max', '-'):<5} best {row['best_ms']:10.3f} ms"
+              f"  median {row['median_ms']:10.3f} [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}] ms{peak}")
     try:
         with open(args.out) as fh:
             data = json.load(fh)

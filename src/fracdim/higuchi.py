@@ -98,12 +98,17 @@ def increments_count(n: int, k: int, m: int) -> int:
     return (n - m) // k
 
 
-def normalization_constant(n: int, k: int, m: int) -> float:
-    """Rescaling factor (n-1)/(q*k) mapping a subseries span onto [0, 1]."""
+def _nonempty_count(n: int, k: int, m: int) -> int:
+    """:func:`increments_count`; EmptySubseriesError when it is 0."""
     q = increments_count(n, k, m)
     if q == 0:
         raise EmptySubseriesError(f"no increments for n={n}, k={k}, m={m}")
-    return (n - 1) / (q * k)
+    return q
+
+
+def normalization_constant(n: int, k: int, m: int) -> float:
+    """Rescaling factor (n-1)/(q*k) mapping a subseries span onto [0, 1]."""
+    return (n - 1) / (_nonempty_count(n, k, m) * k)
 
 
 def variation_sum(ts: TimeSeries, k: int, m: int) -> float:

@@ -12,8 +12,8 @@ The Weierstrass sum is evaluated in double precision, which sets a floor
 on its accuracy.  Term j has the phase lam**j * t, and once lam**j passes
 2**53 the rounded product no longer carries that phase, so further terms
 add noise of the size they were meant to add in signal.  The sum therefore
-stops at the precision cap (the largest J with lam**J <= 2**53) even when
-``tail_tol`` asks for more terms; :func:`weierstrass_error_bound` gives the
+stops at the precision cap (the largest J with lam**J <= 2**53), and its
+tolerance is ``DEFAULT_TAIL_TOL``; :func:`weierstrass_error_bound` gives the
 error that can actually be reached (below 6e-5 for lam = 5, s = 1.7).
 """
 from __future__ import annotations
@@ -108,10 +108,10 @@ def weierstrass_term_count(lam: float, s: float, tail_tol: float = DEFAULT_TAIL_
     return _tail_count(ratio, tail_tol)
 
 
-def _evaluable_term_count(lam: float, s: float, tail_tol: float, points: int) -> int:
+def _evaluable_term_count(lam: float, s: float, points: int) -> int:
     """:func:`weierstrass_term_count`; DomainError when its terms at
     ``points`` points exceed ``_EVAL_LIMIT`` array elements (lam next to 1)."""
-    count = weierstrass_term_count(lam, s, tail_tol)
+    count = weierstrass_term_count(lam, s)
     if max(points, 1) * count > _EVAL_LIMIT:
         raise DomainError(
             f"Weierstrass sum of {count} terms at {points} points is too large to evaluate"
@@ -119,7 +119,7 @@ def _evaluable_term_count(lam: float, s: float, tail_tol: float, points: int) ->
     return count
 
 
-def weierstrass_error_bound(lam: float, s: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+def weierstrass_error_bound(lam: float, s: float) -> float:
     """Bound on |eval_weierstrass(t) - W(t)| for every float t in [0, 1],
     where W is the infinite sum at that same t.
 
@@ -131,24 +131,24 @@ def weierstrass_error_bound(lam: float, s: float, tail_tol: float = DEFAULT_TAIL
     rounding term is 2**-53 * sum of w_j * (2 * lam**j + J + 2) over j <= J,
     which the phase part, 2**-52 * sum of lam**((s-1)*j), dominates.
     """
-    count = _evaluable_term_count(lam, s, tail_tol, 1)
+    count = _evaluable_term_count(lam, s, 1)
     j = np.arange(1, count + 1, dtype=float)
     weights = lam ** ((s - 2.0) * j)
     rounding = _UNIT_ROUNDOFF * float(np.sum(weights * (2.0 * lam**j + count + 2)))
     return _tail_bound(lam ** (s - 2.0), count) + rounding
 
 
-def eval_weierstrass(t, lam: float, s: float, tail_tol: float = DEFAULT_TAIL_TOL):
+def eval_weierstrass(t, lam: float, s: float):
     """Partial sum of lam**((s-2)*j) * sin(lam**j * t) over the J terms of
-    :func:`weierstrass_term_count`; accurate to
-    :func:`weierstrass_error_bound`."""
+    :func:`weierstrass_term_count`, accurate to :func:`weierstrass_error_bound`
+    and built in one points x terms table, the one ``_EVAL_LIMIT`` budgets."""
     arr = _as_unit_interval(t)
-    count = _evaluable_term_count(lam, s, tail_tol, arr.size)
+    count = _evaluable_term_count(lam, s, arr.size)
     j = np.arange(1, count + 1, dtype=float)
-    weights = lam ** ((s - 2.0) * j)
-    angles = np.multiply.outer(arr, lam ** j)
-    out = np.sum(np.sin(angles) * weights, axis=-1)
-    return _maybe_scalar(arr, out)
+    terms = np.multiply.outer(arr, lam**j)
+    np.sin(terms, out=terms)
+    terms *= lam ** ((s - 2.0) * j)
+    return _maybe_scalar(arr, np.sum(terms, axis=-1))
 
 
 def eval_oscillation(t, c: float):

@@ -15,8 +15,8 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, EmptySubseriesError
-from .higuchi import _partition_sum, increments_count, variation_sum
+from .errors import AdmissibilityError, DomainError
+from .higuchi import _nonempty_count, _partition_sum
 from .series import _EVAL_LIMIT, _integer, sample
 from .signals import as_callable
 
@@ -76,9 +76,7 @@ def higuchi_partition(n: int, k: int, m: int) -> Partition:
     Its inner gaps are k/(n-1) and the boundary gaps are at most (k+1)/(n-1),
     so the mesh shrinks like 1/n for fixed k.
     """
-    q = increments_count(n, k, m)
-    if q == 0:
-        raise EmptySubseriesError(f"no increments for n={n}, k={k}, m={m}")
+    q = _nonempty_count(n, k, m)
     # the q + 1 inner points, and 0 and 1 unless the subseries starts or ends there
     points = q + 1 + (m > 1) + (m + q * k < n)
     if points > _EVAL_LIMIT:
@@ -149,10 +147,10 @@ def variation_convergence_check(spec, k: int, m: int, n_grid) -> List[Convergenc
 
     The points of :func:`higuchi_partition` are exactly the grid quotients
     j/(n-1) for j = 0, m-1, m-1+k, ..., m-1+qk, n-1 (an endpoint that repeats
-    a point is dropped), so the partition sum and e_n are read from the
-    sampled values instead of evaluating the signal again.  Grid-defined
-    specs raise DomainError, as they have no continuous form (see
-    :func:`as_callable`).
+    a point is dropped), so all three are read from the sampled values, the
+    increment sum from the slice that :func:`variation_sum` reads.
+    Grid-defined specs raise DomainError, as they have no continuous form
+    (see :func:`as_callable`).
     """
     grid = [_integer(n, "n_grid entry", AdmissibilityError) for n in n_grid]
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -160,14 +158,11 @@ def variation_convergence_check(spec, k: int, m: int, n_grid) -> List[Convergenc
     as_callable(spec)  # DomainError for grid-defined specs
     rows = []
     for n in grid:
-        ts = sample(spec, n)
-        v_nkm = variation_sum(ts, k, m)
-        q = increments_count(n, k, m)
-        if q == 0:
-            raise EmptySubseriesError(f"no increments for n={n}, k={k}, m={m}")
-        x = ts.values
+        x = sample(spec, n).values
+        q = _nonempty_count(n, k, m)
         left, right = m - 1, m - 1 + q * k
         parts = [x[left : right + 1 : k]]
+        v_nkm = _partition_sum(parts[0])
         if left > 0:
             parts.insert(0, x[:1])
         if right < n - 1:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from fracdim import (
     total_variation_estimate,
     variation_convergence_check,
 )
-from fracdim.cli import main, parse_signal
-from fracdim.errors import FracdimError
+from fracdim.cli import _emit, main, parse_signal
+from fracdim.errors import DomainError, FracdimError
 from fracdim.signals import Weierstrass, spec_from_dict, spec_to_dict
 from fracdim.stability import DEMO_ALTERNATING
 
@@ -486,6 +487,7 @@ def run_cli_process(*argv):
 
 
 NOT_TEXT = "<file holding the bytes ff fe>"
+UNDERSCORE_CSV = "<series CSV whose first row is 1,0,1_0>"
 
 # argv and a part of the message; the first five exited 2 only through a
 # catch-all ValueError clause before, the others too
@@ -527,16 +529,22 @@ BAD_INPUTS = {
         ["gen", "--signal", '{"kind": "constant", "c": 1' + "0" * 400 + "}", "--n", "3"],
         "field 'c' is beyond the float range",
     ),
+    "hfd_without_series": (["hfd", "--kmax", "2"], "pass either --signal or --input"),
+    "hfd_signal_without_n": (["hfd", "--signal", "oscillation", "--kmax", "2"], "--signal needs --n"),
+    "sweep_without_grid": (["sweep", "--signal", "oscillation", "--kmax", "2"], "pass --n-grid or both"),
+    # float() reads 1_0 as 10, a CSV reader would not
+    "csv_underscore_digits": (["hfd", "--input", UNDERSCORE_CSV, "--kmax", "1"], "not a plain decimal number"),
 }
 
 
 class TestBadInput:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exits_2_with_message(self, case, tmp_path):
-        not_text = tmp_path / "not_text"
-        not_text.write_bytes(b"\xff\xfe")
+        files = {NOT_TEXT: tmp_path / "not_text", UNDERSCORE_CSV: tmp_path / "underscore.csv"}
+        files[NOT_TEXT].write_bytes(b"\xff\xfe")
+        files[UNDERSCORE_CSV].write_text("j,t,x\n1,0,1_0\n2,1,0\n")
         argv, message = BAD_INPUTS[case]
-        proc = run_cli_process(*[str(not_text) if a == NOT_TEXT else a for a in argv])
+        proc = run_cli_process(*[str(files.get(a, a)) for a in argv])
         assert proc.returncode == 2
         assert "error: " in proc.stderr and message in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -548,6 +556,16 @@ class TestBadInput:
         assert proc.returncode == 2
         assert f"error: index j={index} outside 1..100" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "fmt,value,message",
+        [("csv", math.inf, "column x holds the non-finite value inf"), ("json", math.nan, "JSON cannot represent")],
+    )
+    def test_non_finite_output_refused_before_writing(self, fmt, value, message, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(DomainError, match=message):
+            _emit(SimpleNamespace(format=fmt, out=str(out)), ("k", "x"), [(1, 2.0), (2, value)])
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -570,6 +588,12 @@ class TestVerifyCommand:
         out = tmp_path / "report.txt"
         assert run_cli("verify", "--only", "8", "--out", str(out)) == 1
         assert "FAIL" in out.read_text()
+
+    def test_unknown_claim_fails(self, tmp_path):
+        out = tmp_path / "report.txt"
+        assert run_cli("verify", "--only", "99", "--out", str(out)) == 1
+        row = next(line for line in out.read_text().splitlines() if line.startswith("99 "))
+        assert "unknown claim id" in row and row.endswith("FAIL")
 
     def test_missing_golden_dir_fails_cleanly(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACDIM_GOLDEN_DIR", str(tmp_path / "nowhere"))

@@ -93,6 +93,8 @@ class TestIncrementsCount:
             increments_count(11, 3, 4)
         with pytest.raises(AdmissibilityError):
             increments_count(11, 7, 1)
+        with pytest.raises(AdmissibilityError, match="need n >= 2"):
+            increments_count(1, 1, 1)
 
 
     @pytest.mark.parametrize(

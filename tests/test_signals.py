@@ -30,7 +30,20 @@ from fracdim.signals import eval_oscillation, eval_spline, eval_weierstrass, wei
 
 class TestWeierstrass:
     def test_zero_at_origin(self):
-        assert eval_weierstrass(0.0, 5.0, 1.7, 1e-15) == 0.0
+        assert eval_weierstrass(0.0, 5.0, 1.7) == 0.0
+
+    @pytest.mark.parametrize("lam,s", [(5.0, 1.7), (4.8, 1.5), (7.0, 1.95), (2.5, 1.3), (1e3, 1.05)])
+    def test_equals_out_of_place_sum_bit_for_bit(self, lam, s):
+        # oracle: the sum spelled with a fresh array per step, so the sines
+        # computed in place must carry the same bits on every numpy
+        rng = np.random.default_rng(11)
+        j = np.arange(1, weierstrass_term_count(lam, s) + 1, dtype=float)
+        weights = lam ** ((s - 2.0) * j)
+        for n in (1, 7, 8, 9, 1000, 100_003):
+            t = rng.uniform(0.0, 1.0, n)
+            expected = np.sum(np.sin(np.multiply.outer(t, lam**j)) * weights, axis=-1)
+            assert np.array_equal(eval_weierstrass(t, lam, s), expected), n
+            assert eval_weierstrass(t[0], lam, s) == expected[0]
 
     @pytest.mark.parametrize("lam,s", [(5.0, 1.7), (4.8, 1.7), (5.0, 1.5), (4.8, 1.5), (7.0, 1.6), (2.5, 1.3)])
     def test_within_error_bound_of_multiprecision_sum(self, lam, s):
@@ -129,8 +142,13 @@ class TestWeierstrass:
         grid = np.arange(1000) / 999.0
         tol = 1e-3
         assert weierstrass_term_count(5.0, 1.7, tol) < weierstrass_term_count(5.0, 1.7, tol / 10.0)
-        coarse = eval_weierstrass(grid, 5.0, 1.7, tol)
-        fine = eval_weierstrass(grid, 5.0, 1.7, tol / 10.0)
+
+        def partial_sum(count):
+            j = np.arange(1, count + 1, dtype=float)
+            return np.sum(np.sin(np.multiply.outer(grid, 5.0**j)) * 5.0 ** ((1.7 - 2.0) * j), axis=-1)
+
+        coarse = partial_sum(weierstrass_term_count(5.0, 1.7, tol))
+        fine = partial_sum(weierstrass_term_count(5.0, 1.7, tol / 10.0))
         assert np.max(np.abs(coarse - fine)) < tol
 
     @pytest.mark.parametrize("lam,s", [(1.0, 1.7), (0.5, 1.7), (5.0, 1.0), (5.0, 2.0), (5.0, 2.5)])
@@ -140,12 +158,12 @@ class TestWeierstrass:
 
     def test_rejects_bad_tail_tol(self):
         with pytest.raises(DomainError):
-            eval_weierstrass(0.5, 5.0, 1.7, 0.0)
+            weierstrass_term_count(5.0, 1.7, 0.0)
 
     @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
     def test_rejects_non_finite_or_negative_tail_tol(self, tol):
         with pytest.raises(DomainError):
-            eval_weierstrass(0.5, 5.0, 1.7, tol)
+            weierstrass_term_count(5.0, 1.7, tol)
 
 
 class TestOscillation:
@@ -254,6 +272,11 @@ class TestPeriodicSeries:
         with pytest.raises(AdmissibilityError):
             sample(PeriodicInterp((1.0, 2.0, 3.0, 4.0)), 5)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            PeriodicInterp((1.0, value))
+
     def test_empty_coefficients_rejected(self):
         with pytest.raises(DomainError):
             sample(PeriodicInterp(()), 5)
@@ -342,6 +365,15 @@ class TestSpecSerialization:
         with pytest.raises(DomainError, match=f"'{field}'"):
             spec_from_dict(data)
 
+    @pytest.mark.parametrize("data", [[], {}])
+    def test_non_object_or_kindless_rejected(self, data):
+        with pytest.raises(DomainError, match="needs a 'kind' field"):
+            spec_from_dict(data)
+
+    def test_non_spec_not_serialized(self):
+        with pytest.raises(DomainError, match="not a signal spec: object"):
+            spec_to_dict(object())
+
     def test_unhashable_kind_rejected(self):
         with pytest.raises(DomainError, match="unknown signal kind"):
             spec_from_dict({"kind": ["constant"], "c": 1.0})
@@ -378,6 +410,10 @@ class TestAsCallable:
     def test_plain_callable_passthrough(self):
         f = as_callable(lambda t: np.asarray(t) * 0.0)
         assert f(0.3) == 0.0
+
+    def test_non_callable_rejected(self):
+        with pytest.raises(DomainError, match="cannot evaluate object of type int"):
+            as_callable(3)
 
     def test_grid_defined_needs_sample_count(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,8 @@ from fracdim import (
     curve_lengths,
     divergence_trace,
     hfd,
+    increments_count,
+    normalization_constant,
     perturb,
     perturbed_length_closed_form,
     sample,
@@ -123,6 +126,55 @@ class TestResurrectedStrideLaw:
 
     def test_zero_bump_predicts_zero(self):
         assert perturbed_length_closed_form(100, 2, 0.0) == 0.0
+
+
+# claim 7's series (N = 150, k_max = 30) and claim 8's (N = 100, k_max = 50)
+LAW_CASES = {"periodic": 30, "alternating": 50}
+
+
+class TestInstabilityLawAtEveryBump:
+    @staticmethod
+    def resurrected(report):
+        return sorted(set(report.perturbed.index_set) - set(report.base.index_set))
+
+    @pytest.mark.parametrize("name,cells", [("periodic", 450), ("alternating", 2500)])
+    def test_resurrected_length_closed_form_at_every_index(self, name, cells, request):
+        # a bump at j breaks only the subseries of offset m = (j-1) mod k + 1
+        # that holds X(j), as its sample i = (j-m)/k; an endpoint sample
+        # meets one increment and an inner one two
+        ts = request.getfixturevalue(f"{name}_series")
+        n, eps, checked = ts.n, 1e-10, 0
+        for j in range(1, n + 1):
+            report = stability_report(ts, LAW_CASES[name], j=j, eps=eps)
+            eps_eff = (ts.values[j - 1] + eps) - ts.values[j - 1]
+            for kappa in self.resurrected(report):
+                m = (j - 1) % kappa + 1
+                i = (j - m) // kappa
+                w = 1 if i in (0, increments_count(n, kappa, m)) else 2
+                predicted = normalization_constant(n, kappa, m) * (w * eps_eff) / kappa / kappa
+                assert report.perturbed.lengths[kappa - 1] == predicted, (j, kappa)
+                checked += 1
+        assert checked == cells
+
+    @pytest.mark.parametrize("name,rate", [("periodic", 0.0588200170), ("alternating", 0.0282243824)])
+    def test_trace_steps_follow_the_divergence_rate(self, name, rate, request):
+        # oracle: D(eps) = D0 + lam * ln(1/eps_eff) + O(eps), with
+        # lam = -cov(x, 1_R) / var(x) over the perturbed index set,
+        # x = ln(1/k) and R the resurrected strides, in mpmath
+        ts = request.getfixturevalue(f"{name}_series")
+        grid = [eps for eps, _ in golden_values()["alternating_divergence"]]
+        report = stability_report(ts, LAW_CASES[name], j=1, eps=grid[0])
+        ks, resurrected = report.perturbed.index_set, set(self.resurrected(report))
+        x = [-mp.log(k) for k in ks]
+        ind = [mp.mpf(k in resurrected) for k in ks]
+        x_bar, ind_bar = mp.fsum(x) / len(ks), mp.fsum(ind) / len(ks)
+        lam = -mp.fsum((a - x_bar) * (b - ind_bar) for a, b in zip(x, ind)) / mp.fsum((a - x_bar) ** 2 for a in x)
+        assert abs(lam - rate) < 1e-10
+        rows = divergence_trace(ts, LAW_CASES[name], 1, grid)
+        for row, nxt in zip(rows, rows[1:]):
+            step = mp.log(effective_eps(ts, row.eps)) - mp.log(effective_eps(ts, nxt.eps))
+            gap = abs((nxt.d_eps - row.d_eps) - lam * step)
+            assert gap <= 1e-2 * max(row.eps, nxt.eps), (row.eps, nxt.eps)
 
 
 class TestDivergenceTrace:

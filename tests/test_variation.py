@@ -12,7 +12,9 @@ from fracdim import (
     Oscillation,
     Partition,
     as_callable,
+    hfd,
     higuchi_partition,
+    normalization_constant,
     sample,
     sample_grid,
     total_variation_estimate,
@@ -49,6 +51,8 @@ class TestPartition:
             Partition(np.array([0.0, 0.5, 0.5, 1.0]))
         with pytest.raises(DomainError):
             Partition(np.array([0.0, 0.7, 0.4]))
+        with pytest.raises(DomainError, match="must be finite"):
+            Partition([0.0, math.nan])
 
     def test_mesh_is_largest_gap(self):
         part = Partition(np.array([0.0, 0.1, 0.5, 1.0]))
@@ -248,6 +252,26 @@ def test_numpy_integer_counts_accepted():
     assert total_variation_estimate(spec, np.int64(3)).estimate == total_variation_estimate(spec, 3).estimate
     rows = variation_convergence_check(spec, np.int64(2), np.int32(1), np.array([10, 20]))
     assert rows == variation_convergence_check(spec, 2, 1, [10, 20])
+
+
+class TestTwoStrideIdentity:
+    def test_slope_is_a_ratio_of_partition_sums(self):
+        # claim 10's estimate with k_max = 2 is D = log2(L(1)/L(2)): L(1) is
+        # the partition sum on the full grid and L(2) the mean of the two
+        # half-grid sums, each rescaled by C and divided by the stride
+        errors = []
+        for n in (100, 300, 700, 1000, 10**4, 10**5, 10**6):
+            ts = sample(Oscillation(20.0), n)
+            result = hfd(ts, 2)
+            l1 = variation_sum(ts, 1, 1)
+            halves = [normalization_constant(n, 2, m) * variation_sum(ts, 2, m) / 2 for m in (1, 2)]
+            l2 = (halves[0] + halves[1]) / 2
+            assert result.lengths[0] == l1, n
+            assert result.lengths[1] == l2, n
+            assert abs(result.slope - math.log2(l1 / l2)) <= 1e-15, n
+            errors.append(abs(result.slope - 1.0))
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[0] > 0.2 and errors[-1] < 2e-3
 
 
 class TestRefinementMonotonicity:
