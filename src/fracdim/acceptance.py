@@ -344,8 +344,7 @@ def claim_13() -> List[CheckResult]:
 
 def claim_14() -> List[CheckResult]:
     ids = DETERMINISM_SUBSET
-    first = render_report(run_claims(ids))
-    second = render_report(run_claims(ids))
+    first, second = (render_report([row for i in ids for row in run_claim(i)]) for _ in range(2))
     same = first == second
     return [
         _row(
@@ -393,16 +392,11 @@ def run_claim(claim_id: int) -> List[CheckResult]:
 
 def run_claims(ids: Optional[Sequence[int]] = None) -> List[CheckResult]:
     selected = ALL_CLAIM_IDS if ids is None else tuple(ids)
-    # a nested run (claim 14) shares the outer run's golden values
-    token = _run_golden.set(functools.cache(golden_values)) if _run_golden.get() is None else None
-    rows: List[CheckResult] = []
+    token = _run_golden.set(functools.cache(golden_values))
     try:
-        for claim_id in selected:
-            rows.extend(run_claim(claim_id))
+        return [row for claim_id in selected for row in run_claim(claim_id)]
     finally:
-        if token is not None:
-            _run_golden.reset(token)
-    return rows
+        _run_golden.reset(token)
 
 
 def render_report(rows: Sequence[CheckResult]) -> str:

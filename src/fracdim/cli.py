@@ -3,9 +3,10 @@ sample counts, reproduce the perturbation experiments, and verify the
 package against its frozen expectations.
 
 All commands are deterministic: the same invocation produces byte-identical
-output files.  Every output but the series CSV of ``gen`` goes through
-:func:`_emit`, which writes shortest round-trip floats and refuses a
-non-finite number before anything is written.
+output files.  Every CSV table and JSON payload goes through :func:`_emit`,
+the series CSV of ``gen`` and the verify report aside; it writes shortest
+round-trip floats and refuses a non-finite number before anything is
+written.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .stability import (
     DEFAULT_INDEX,
     DEMO_ALTERNATING,
     DEMO_PERIODIC_COEFFS,
+    _check_eps_grid,
     divergence_trace,
     stability_report,
 )
@@ -98,13 +100,6 @@ def _cell(column: str, value) -> str:
     return repr(x)
 
 
-def _json_text(payload) -> str:
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError:  # allow_nan=False refuses a non-finite float
-        raise DomainError("the result holds a non-finite number, which JSON cannot represent") from None
-
-
 def _emit(args, header, rows, payload=None) -> None:
     """Write ``rows`` under ``header`` as CSV, or ``payload`` as JSON; without
     a payload the JSON form is one object per row keyed by the header."""
@@ -113,7 +108,11 @@ def _emit(args, header, rows, payload=None) -> None:
         lines.extend(",".join(_cell(c, v) for c, v in zip(header, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_text([dict(zip(header, row)) for row in rows] if payload is None else payload)
+        try:
+            text = json.dumps([dict(zip(header, row)) for row in rows] if payload is None else payload,
+                              indent=2, allow_nan=False) + "\n"
+        except ValueError:  # allow_nan=False refuses a non-finite float
+            raise DomainError("the result holds a non-finite number, which JSON cannot represent") from None
     _write_output(text, args.out)
 
 
@@ -129,14 +128,18 @@ def _load_series(args) -> TimeSeries:
     return sample(parse_signal(args.signal), args.n)
 
 
-def _resolve_kmax(args, n: int) -> int:
+def _check_kmax_options(args) -> None:
+    """Refuse --kmax with --kmax-rule half, or neither."""
     if args.kmax_rule == "half":
         if args.kmax is not None:
             raise DomainError("pass either --kmax or --kmax-rule half, not both")
-        return ceil_half(n)
-    if args.kmax is None:
+    elif args.kmax is None:
         raise DomainError("pass --kmax or use --kmax-rule half")
-    return args.kmax
+
+
+def _kmax(args, n: int) -> int:
+    """k_max for n samples, from options that passed :func:`_check_kmax_options`."""
+    return ceil_half(n) if args.kmax_rule == "half" else args.kmax
 
 
 def cmd_gen(args) -> int:
@@ -145,16 +148,16 @@ def cmd_gen(args) -> int:
     if args.format == "csv":
         _write_output(to_csv_text(ts), args.out)
     else:
-        payload = {"signal": spec_to_dict(spec), "n": ts.n, "values": [float(v) for v in ts.values]}
-        _write_output(_json_text(payload), args.out)
+        _emit(args, (), (), {"signal": spec_to_dict(spec), "n": ts.n, "values": [float(v) for v in ts.values]})
     return 0
 
 
 def cmd_hfd(args) -> int:
     if args.detail and args.format == "csv":
         raise DomainError("the per-(k, m) detail has only a JSON form: pass --format json, or drop --detail")
+    _check_kmax_options(args)
     ts = _load_series(args)
-    result = hfd(ts, _resolve_kmax(args, ts.n), detail=args.detail)
+    result = hfd(ts, _kmax(args, ts.n), detail=args.detail)
     payload = result.to_dict()
     if args.detail:
         payload["detail"] = [
@@ -193,20 +196,22 @@ def cmd_tv(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _check_kmax_options(args)
+    if args.eps_grid:
+        _check_eps_grid(args.eps_grid)
+    elif args.format == "csv":
+        raise DomainError(
+            "the stability report has only a JSON form: pass --format json, or --eps-grid for a CSV trace"
+        )
     ts = _load_series(args)
-    k_max = _resolve_kmax(args, ts.n)
+    k_max = _kmax(args, ts.n)
     if args.eps_grid:
         rows = divergence_trace(ts, k_max, args.index, args.eps_grid)
         # NaN marks a trace row without resurrected strides: a missing value
         rows = [(r.eps, r.d_eps, None if math.isnan(r.min_log_new) else r.min_log_new) for r in rows]
         _emit(args, ("eps", "D_eps", "min_log_L"), rows)
         return 0
-    if args.format == "csv":
-        raise DomainError(
-            "the stability report has only a JSON form: pass --format json, or --eps-grid for a CSV trace"
-        )
-    report = stability_report(ts, k_max, j=args.index, eps=args.eps)
-    _write_output(_json_text(report.to_dict()), args.out)
+    _emit(args, (), (), stability_report(ts, k_max, j=args.index, eps=args.eps).to_dict())
     return 0
 
 
@@ -227,10 +232,8 @@ def cmd_sweep(args) -> int:
             )
     # the largest N is refused before any N is sampled
     _check_sample_count(max(grid[0], grid[-1]))
-    rows = []
-    for n in grid:
-        k_max = _resolve_kmax(args, n)
-        rows.append((n, hfd(sample(spec, n), k_max).slope))
+    _check_kmax_options(args)
+    rows = [(n, hfd(sample(spec, n), _kmax(args, n)).slope) for n in grid]
     _emit(args, ("N", "D"), rows)
     return 0
 

@@ -218,14 +218,11 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kep
         for runs in _stride_blocks(n, k_max):
             lo, hi = runs[0][0], runs[-1][1]
             ks = np.arange(lo, hi)
-            full, r = np.divmod(n - ks, ks)
-            # every offset has an increment, or without a full row the first r
-            count = np.where(full > 0, ks, r)
+            count = np.minimum(ks, n - ks)  # the offsets m <= n - k, those with q >= 1
             ends = np.cumsum(count)
             k = np.repeat(ks, count)
             m = np.arange(1, ends[-1] + 1) - np.repeat(ends - count, count)
-            q = np.repeat(full, count) + (m <= np.repeat(r, count))
-            c = (n - 1) / (q * k)
+            c = (n - 1) / ((n - m) // k * k)
             columns = [_run_columns(padded, a, b, f) for a, b, f in runs]
             # drops the column of the one offset without an increment (f = 0)
             v = np.concatenate(columns)[: ends[-1]]

@@ -103,6 +103,17 @@ class TraceRow(NamedTuple):
     min_log_new: float
 
 
+def _check_eps_grid(eps_grid) -> List[float]:
+    """The bump sizes as floats; DomainError unless they are positive and
+    strictly decreasing."""
+    grid = [float(e) for e in eps_grid]
+    if len(grid) < 1 or any(e <= 0.0 for e in grid):
+        raise DomainError("eps grid must contain positive values only")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("eps grid must be strictly decreasing")
+    return grid
+
+
 def divergence_trace(ts: TimeSeries, k_max: int, j, eps_grid) -> List[TraceRow]:
     """Estimator runs over a decreasing bump-size grid.
 
@@ -110,11 +121,7 @@ def divergence_trace(ts: TimeSeries, k_max: int, j, eps_grid) -> List[TraceRow]:
     the resurrected strides; the latter decreases without bound as eps
     shrinks while the surviving lengths move by O(eps).
     """
-    grid = [float(e) for e in eps_grid]
-    if len(grid) < 1 or any(e <= 0.0 for e in grid):
-        raise DomainError("eps grid must contain positive values only")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("eps grid must be strictly decreasing")
+    grid = _check_eps_grid(eps_grid)
     base, perts = _bumped_results(ts, k_max, j, grid)
     rows = []
     for eps, pert in zip(grid, perts):

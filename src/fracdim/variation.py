@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .higuchi import _nonempty_count, _partition_sum
-from .series import _EVAL_LIMIT, _integer, sample
+from .series import _EVAL_LIMIT, _check_sample_count, _integer, sample
 from .signals import as_callable
 
 TRACE_BASE_INTERVALS = 64
@@ -156,10 +156,11 @@ def variation_convergence_check(spec, k: int, m: int, n_grid) -> List[Convergenc
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
     as_callable(spec)  # DomainError for grid-defined specs
+    # every N, and (k, m) at every N, is refused before any N is sampled
+    counts = [_nonempty_count(_check_sample_count(n), k, m) for n in grid]
     rows = []
-    for n in grid:
+    for n, q in zip(grid, counts):
         x = sample(spec, n).values
-        q = _nonempty_count(n, k, m)
         left, right = m - 1, m - 1 + q * k
         parts = [x[left : right + 1 : k]]
         v_nkm = _partition_sum(parts[0])

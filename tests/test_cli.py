@@ -537,7 +537,65 @@ BAD_INPUTS = {
 }
 
 
+W_2M = ["--signal", "weierstrass", "--n", "2000000"]
+
+# refusals that sampled or read the series before they checked their
+# arguments; a library call or a CLI argv, and the message
+REFUSED_BEFORE_READING = {
+    "convergence_bad_offset": (
+        lambda: variation_convergence_check(Weierstrass(5.0, 1.7), 3, 4, [10**6 + 1]),
+        "need 1 <= m <= k, got m=4, k=3",
+    ),
+    "convergence_no_increments_at_smallest_n": (
+        lambda: variation_convergence_check(Oscillation(20.0), 2, 2, [3, 10**6]),
+        "no increments for n=3, k=2, m=2",
+    ),
+    "convergence_largest_n_beyond_eval_limit": (
+        lambda: variation_convergence_check(Oscillation(20.0), 2, 1, [10, 10**9]),
+        "need at most 50000000 samples, got n=1000000000",
+    ),
+    "hfd_without_kmax": (["hfd", *W_2M], "pass --kmax or use --kmax-rule half"),
+    "hfd_input_without_kmax": (["hfd", "--input", "series.csv"], "pass --kmax or use --kmax-rule half"),
+    "hfd_kmax_and_half_rule": (
+        ["hfd", *W_2M, "--kmax", "5", "--kmax-rule", "half"], "pass either --kmax or --kmax-rule half, not both"
+    ),
+    "stability_without_kmax": (["stability", *W_2M], "pass --kmax or use --kmax-rule half"),
+    "stability_kmax_and_half_rule": (
+        ["stability", *W_2M, "--kmax", "5", "--kmax-rule", "half"],
+        "pass either --kmax or --kmax-rule half, not both",
+    ),
+    "stability_report_as_csv": (
+        ["stability", *W_2M, "--kmax", "5", "--format", "csv"], "the stability report has only a JSON form"
+    ),
+    "stability_input_report_as_csv": (
+        ["stability", "--input", "series.csv", "--kmax", "5", "--format", "csv"],
+        "the stability report has only a JSON form",
+    ),
+    "stability_eps_grid_increasing": (
+        ["stability", *W_2M, "--kmax", "5", "--eps-grid", "1e-3,1e-2"], "eps grid must be strictly decreasing"
+    ),
+    "stability_eps_grid_not_positive": (
+        ["stability", *W_2M, "--kmax", "5", "--eps-grid", "1e-3,0"], "eps grid must contain positive values only"
+    ),
+}
+
+
 class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(REFUSED_BEFORE_READING))
+    def test_refused_before_the_series_is_read(self, case, monkeypatch, capsys):
+        read = []
+        for target in ("fracdim.cli.sample", "fracdim.cli.read_csv", "fracdim.variation.sample"):
+            monkeypatch.setattr(target, lambda *args, target=target: read.append(target))
+        call, message = REFUSED_BEFORE_READING[case]
+        if callable(call):
+            with pytest.raises(FracdimError) as excinfo:
+                call()
+            assert message in str(excinfo.value)
+        else:
+            assert run_cli(*call) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+        assert read == []
+
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exits_2_with_message(self, case, tmp_path):
         files = {NOT_TEXT: tmp_path / "not_text", UNDERSCORE_CSV: tmp_path / "underscore.csv"}

@@ -49,6 +49,10 @@ class TestTimeSeries:
         ts = TimeSeries(np.zeros(5))
         assert np.array_equal(ts.grid, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
 
+    def test_len_is_the_sample_count(self):
+        ts = TimeSeries(np.zeros(5))
+        assert len(ts) == ts.n == 5
+
 
 class TestSample:
     def test_identity_line(self):
@@ -183,6 +187,11 @@ class TestCsv:
             from_csv_text("j,t,x\n1,0,0\n2,0.5\n3,1,1\n")
         with pytest.raises(DomainError):
             from_csv_text("j,t,x\n1,0,zero\n2,1,1\n")
+
+    def test_malformed_row_after_blank_line_named_by_its_file_line(self):
+        # the blank line 3 is skipped, not taken for the malformed row
+        with pytest.raises(DomainError, match=r"malformed series row at line 4: \['2', '0.5'\]"):
+            from_csv_text("j,t,x\n1,0,0\n\n2,0.5\n3,1,1\n")
 
     def test_shuffled_rows_rejected(self):
         with pytest.raises(DomainError, match="line 2.*expected j = 1"):

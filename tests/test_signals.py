@@ -208,6 +208,12 @@ class TestOscillation:
         with pytest.raises(DomainError):
             Oscillation(0.0)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    def test_module_function_rejects_nonpositive_or_nan_rate(self, c):
+        # Oscillation refuses these at construction, so only eval_oscillation reaches its own check
+        with pytest.raises(DomainError, match="oscillation rate must be positive"):
+            eval_oscillation(np.array([0.0, 0.5, 1.0]), c)
+
     def test_overflowing_rate_raises_domain_error(self):
         with pytest.raises(DomainError, match="overflows"):
             eval_oscillation(1e-150, 1e300)
