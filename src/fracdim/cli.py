@@ -27,8 +27,8 @@ from .geometry import (
     DEFAULT_SAMPLES_PER_COLUMN,
     box_dim_estimate,
 )
-from .higuchi import ceil_half, hfd
-from .series import TimeSeries, _check_sample_count, read_csv, sample, to_csv_text
+from .higuchi import _check_admissible, ceil_half, hfd
+from .series import TimeSeries, _check_index, _check_sample_count, read_csv, sample, to_csv_text
 from .signals import (
     Affine,
     Alternating,
@@ -116,7 +116,9 @@ def _emit(args, header, rows, payload=None) -> None:
     _write_output(text, args.out)
 
 
-def _load_series(args) -> TimeSeries:
+def _load_series(args, index=None) -> TimeSeries:
+    """The series of --input, or of --signal sampled at --n.  Before a signal
+    is sampled, --kmax and a bump ``index`` are checked against --n."""
     if args.input:
         if args.signal is not None:
             raise DomainError("pass either --signal or --input, not both")
@@ -125,7 +127,13 @@ def _load_series(args) -> TimeSeries:
         raise DomainError("pass either --signal or --input")
     if args.n is None:
         raise DomainError("--signal needs --n")
-    return sample(parse_signal(args.signal), args.n)
+    spec = parse_signal(args.signal)
+    n = _check_sample_count(args.n)
+    if args.kmax is not None:
+        _check_admissible(n, args.kmax)
+    if index is not None:
+        _check_index(n, index)
+    return sample(spec, n)
 
 
 def _check_kmax_options(args) -> None:
@@ -203,7 +211,7 @@ def cmd_stability(args) -> int:
         raise DomainError(
             "the stability report has only a JSON form: pass --format json, or --eps-grid for a CSV trace"
         )
-    ts = _load_series(args)
+    ts = _load_series(args, args.index)
     k_max = _kmax(args, ts.n)
     if args.eps_grid:
         rows = divergence_trace(ts, k_max, args.index, args.eps_grid)

@@ -12,41 +12,32 @@ q = 0 (possible at k = ceil(N/2) for odd N) are excluded from the per-k
 average; offset m = 1 always has an increment at admissible sizes.
 
 The lengths here and the mesh areas of :mod:`fracdim.geometry` are averaged
-by :func:`_stride_averages` from one (k, m, q, C, V) table, in blocks of
-consecutive strides of at most ``_BLOCK_CELLS`` (k, m) cells cut into runs
-of strides that share the full-row count f = (N-k)//k, both drawn in one
-walk over the strides (:func:`_stride_blocks`).  Per block, a few vectorised
-calls give every cell's m, q, C and term, and one ``tolist`` hands the terms
-to Python.  A run's V columns (a lone stride is a run of one) come from one
-table, its strides' (f+2, k) sample tables side by side, read from the
-series padded with NaN (:func:`_run_columns`): its row differences hold
-every increment and its padding adds +0.0.  At the paper's sizes (N of a few
-hundred, k_max = ceil(N/2)) most strides have one to four increments per
-offset, and one table per run in place of one per stride saves about 40% of
-the V stage (N = 340).
+by :func:`_stride_averages`, in blocks of consecutive strides of at most
+``_BLOCK_CELLS`` (k, m) cells cut into runs of strides that share the
+full-row count f = (N-k)//k (:func:`_stride_blocks`).  A run's V(k, m) (a
+lone stride is a run of one) come from one table, its strides' (f+2, k)
+sample tables side by side, read from the series padded with NaN
+(:func:`_run_columns`).  A block's terms fill one table with a row per
+stride and a column per offset, zero after the stride's last offset; C
+takes one of two values per stride, as q is f + 1 or f.
 
-The summation order is fixed, because the exact zero test on L(k) and the
-frozen golden values depend on every bit: each V(k, m) is a sequential
-column sum over i = 1..q, the order of :func:`variation_sum`, taken by
-:func:`_sum_rows`, a reduction along the slow axis of a table with one row
-per i (a single column, which is the fast axis, is accumulated instead),
-and each per-stride average is the Python ``sum`` of the terms in ascending
-m (:func:`_stride_mean`); neither the blocks nor the runs change a bit.
-From Python 3.12 on ``sum`` of floats is compensated, so no numpy reduction
-could stand in for it on every supported interpreter.  A non-finite length
-or area, which finite values reach only through overflow, raises
-:class:`DomainError` naming the stride.
+The exact zero test on L(k) and the frozen golden values depend on every
+bit, so the summation order is fixed, and it is the same on every
+interpreter.  Each V(k, m) adds i = 1..q in ascending order, as
+:func:`variation_sum` does, by :func:`_sum_rows`.  Each L(k) adds m = 1, 2,
+... in ascending order, by one running sum (``np.add.accumulate``) along
+its row of the block's table: the order of Python's ``sum`` up to 3.11,
+which is compensated from 3.12 on.  The terms are >= 0, so trailing zeros
+change no bit.  A non-finite length or area, which finite values reach only
+through overflow, raises :class:`DomainError` naming the stride.
 
 The bump experiments of :mod:`fracdim.stability` run through
-:func:`_bumped_results`, which builds the unperturbed table once and keeps
-every length term.  A bump at sample j changes one offset per stride,
-m = (j-1) mod k + 1, so only that column V(k, m) is recomputed per stride.
-The samples it reads are laid out once per call, whatever the bump size:
-one (q+1)-row index table per run of strides with an equal count q, a
-strided slice for a stride alone.  Each bump sums their row differences by
-the same :func:`_sum_rows`, and the new term stands in for the old one
-while :func:`_stride_mean` averages the stride again: bit-identical to
-:func:`hfd` of the bumped series.
+:func:`_bumped_results`, which keeps the unperturbed tables of terms.  A
+bump at sample j changes one offset per stride, m = (j-1) mod k + 1, so only
+that V(k, m) is recomputed per stride and bump size, from samples laid out
+once per call.  The new terms of every bump size go into one stacked copy of
+each table, averaged at once: bit-identical to :func:`hfd` of the bumped
+series.
 """
 from __future__ import annotations
 
@@ -151,16 +142,13 @@ def _sum_rows(d: np.ndarray) -> np.ndarray:
     return np.add.reduce(d, axis=0)
 
 
-def _stride_mean(k: int, terms: list, what: str) -> float:
-    """Python ``sum`` of stride k's terms, in ascending m, over their count.
-    ``what`` names the averaged quantity in the DomainError raised for a
-    non-finite average."""
-    mean = sum(terms) / len(terms)
-    if not math.isfinite(mean):
-        raise DomainError(
-            f"the {what} at stride k={k} is not finite: the series overflows in floating point"
-        )
-    return mean
+def _finite(means: np.ndarray, what: str) -> np.ndarray:
+    """``means`` of the strides 1, 2, ...; DomainError naming the first
+    stride whose mean, of the quantity ``what``, is not finite."""
+    bad = np.flatnonzero(~np.isfinite(means))
+    if bad.size:
+        raise DomainError(f"the {what} at stride k={bad[0] + 1} is not finite: the series overflows in floating point")
+    return means
 
 
 def _stride_blocks(n: int, k_max: int):
@@ -205,37 +193,41 @@ def _run_columns(padded: np.ndarray, a: int, b: int, f: int) -> np.ndarray:
     return _sum_rows(d)
 
 
-def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, kept=None) -> np.ndarray:
+def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, tables=None) -> np.ndarray:
     """Per-stride averages of ``term(k, C, V)`` over the offsets with an
-    increment, k = 1..k_max; each (k, m) row is appended to ``rows`` and
-    each stride's list of terms to ``kept`` when given.  ``term`` is applied
-    to the per-cell arrays of a whole block of strides at once."""
+    increment, k = 1..k_max.  Per block of strides, ``term`` is applied to
+    the column of strides k and to (stride x offset) tables of C and V, zero
+    after each stride's offsets.  Each (k, m) row is appended to ``rows``,
+    and each block's (lo, count, table of terms) to ``tables``, when given."""
     k_max = _check_admissible(ts.n, k_max)
     n = ts.n
     padded = np.concatenate([ts.values, np.full(k_max, np.nan)])
+    ks = np.arange(1, k_max + 1)
+    counts = np.minimum(ks, n - ks)  # the offsets m <= n - k, those with q >= 1
+    # q = (n - m) // k is n // k for the offsets m <= n mod k, else n // k - 1,
+    # taken as at least 1 so that padding, where q = 0, gets a finite C
+    qk = n // ks * ks
+    firsts, rests, splits = (n - 1) / qk, (n - 1) / np.maximum(qk - ks, ks), n - qk
     out = []
     with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
         for runs in _stride_blocks(n, k_max):
             lo, hi = runs[0][0], runs[-1][1]
-            ks = np.arange(lo, hi)
-            count = np.minimum(ks, n - ks)  # the offsets m <= n - k, those with q >= 1
-            ends = np.cumsum(count)
-            k = np.repeat(ks, count)
-            m = np.arange(1, ends[-1] + 1) - np.repeat(ends - count, count)
-            c = (n - 1) / ((n - m) // k * k)
-            columns = [_run_columns(padded, a, b, f) for a, b, f in runs]
+            s = slice(lo - 1, hi - 1)
+            count, m = counts[s], np.arange(counts[s].max())  # m - 1
+            cell = m < count[:, None]  # the (k, m) cells, in ascending (k, m)
+            v = np.zeros(cell.shape)
             # drops the column of the one offset without an increment (f = 0)
-            v = np.concatenate(columns)[: ends[-1]]
-            terms = term(k, c, v).tolist()
-            start = 0
-            for s, end in zip(range(lo, hi), ends.tolist()):
-                out.append(_stride_mean(s, terms[start:end], what))
-                if kept is not None:
-                    kept.append(terms[start:end])
-                start = end
+            v[cell] = np.concatenate([_run_columns(padded, *run) for run in runs])[: count.sum()]
+            c = np.where(m < splits[s, None], firsts[s, None], rests[s, None])
+            t = term(ks[s, None], c, v)
+            out.append(np.add.accumulate(t, axis=1)[:, -1] / count)  # each row in ascending m
+            if tables is not None:
+                tables.append((lo, count, t))
             if rows is not None:
-                rows.extend(map(DetailRow._make, zip(k.tolist(), m.tolist(), c.tolist(), v.tolist(), terms)))
-    return np.array(out)
+                k, m = np.nonzero(cell)
+                cells = (k + lo, m + 1, c[cell], v[cell], t[cell])
+                rows.extend(map(DetailRow._make, zip(*(x.tolist() for x in cells))))
+    return _finite(np.concatenate(out), what)
 
 
 def _length_terms(k: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -287,14 +279,14 @@ def _loglog_fit(values, x_of) -> Tuple[float, Optional[float], Tuple[int, ...], 
     back to 1 and the intercept is None.  DomainError names the first
     stride whose value is negative or not finite.
     """
-    vals = np.asarray(values, dtype=float).tolist()
-    for k, value in enumerate(vals, 1):
-        if not 0.0 <= value < math.inf:
-            raise DomainError(f"the value at stride k={k} is {value!r}: need a finite value >= 0")
-    index_set = tuple(k for k, value in enumerate(vals, 1) if value != 0.0)
-    points = np.array(
-        [(x_of(k), math.log(vals[k - 1])) for k in index_set]
-    ).reshape(len(index_set), 2)
+    vals = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~((vals >= 0.0) & (vals < math.inf)))
+    if bad.size:
+        raise DomainError(f"the value at stride k={bad[0] + 1} is {float(vals[bad[0]])!r}: need a finite value >= 0")
+    nonzero = np.flatnonzero(vals)
+    index_set = tuple((nonzero + 1).tolist())
+    # math.log, not np.log, which need not round as the C library does
+    points = np.column_stack((list(map(x_of, index_set)), list(map(math.log, vals[nonzero].tolist()))))
     if len(index_set) <= 1:
         return 1.0, None, index_set, points
     slope, intercept = regression_slope(points)
@@ -367,48 +359,46 @@ def _hfd_result(n: int, lengths: np.ndarray, detail=None) -> HfdResult:
 
 def _bumped_results(ts: TimeSeries, k_max, j, eps_values) -> Tuple[HfdResult, List[HfdResult]]:
     """``hfd(ts, k_max)`` and ``hfd(perturb(ts, j, eps), k_max)`` for each
-    eps in ``eps_values``, from one table of ``ts``.  ``k_max`` and the bump
-    index ``j`` are checked first, in that order, so that a refused index
-    costs no table.  The touched strides, those whose offset
+    eps in ``eps_values``, from one table of ``ts``.  ``k_max``, the bump
+    index ``j`` and every eps are checked first, in that order, so that a
+    refused argument costs no table.  The touched strides, those whose offset
     m = (j-1) mod k + 1 has an increment, are laid out once for every eps.
     """
     k_max = _check_admissible(ts.n, k_max)
-    j = _check_index(ts, j)
+    j = _check_index(ts.n, j)
     n = ts.n
-    terms: List[List[float]] = []
-    lengths = _stride_averages(ts, k_max, _length_terms, "length", kept=terms)
     ks = np.arange(1, k_max + 1)
     ms = (j - 1) % ks + 1
     qs = (n - ms) // ks
     keep = qs >= 1
     ks, ms, qs = ks[keep], ms[keep], qs[keep]
     cs = (n - 1) / (qs * ks)  # C(n, k, m) as _stride_averages computes it
-    cells = list(zip(ks.tolist(), ms.tolist(), qs.tolist()))
-    rows = np.arange(n)[:, None]  # stride 1 has the most increments, n - 1
-    starts = [0, *(np.flatnonzero(np.diff(qs)) + 1).tolist()]
-    layouts = []
-    for a, b in zip(starts, starts[1:] + [ks.size]):
-        k, m, q = cells[a]
-        if b == a + 1:
-            layouts.append((slice(m - 1, m + q * k, k), None))
-        else:
-            layouts.append(rows[: q + 1] * ks[a:b] + (ms[a:b] - 1))
-    bumped = []
-    for eps in eps_values:
-        values = perturb(ts, j, eps).values
-        out = lengths.copy()
-        with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
+    starts = [0, *(np.flatnonzero(np.diff(qs)) + 1).tolist(), ks.size]
+    # the samples of the touched subseries: a strided slice for a stride
+    # alone, a (q+1)-row index table for a run of strides with an equal q
+    layouts = [(slice(ms[a] - 1, ms[a] + qs[a] * ks[a], ks[a]), None) if b == a + 1
+               else np.arange(qs[a] + 1)[:, None] * ks[a:b] + (ms[a:b] - 1) for a, b in zip(starts, starts[1:])]
+    new_terms = np.empty((len(eps_values), ks.size))
+    with np.errstate(over="ignore"):  # overflow surfaces as a non-finite average
+        # the touched V(k, m) of each bumped series, before any table: perturb refuses a bad bump
+        for e, eps in enumerate(eps_values):
+            values = perturb(ts, j, eps).values
             columns = []
-            for t in layouts:
-                x = values[t]
+            for layout in layouts:
+                x = values[layout]
                 d = x[1:] - x[:-1]
                 np.abs(d, out=d)
                 columns.append(_sum_rows(d))
-            new_terms = _length_terms(ks, cs, np.concatenate(columns))
-        for (k, m, _), term in zip(cells, new_terms.tolist()):
-            row = terms[k - 1]
-            old, row[m - 1] = row[m - 1], term
-            out[k - 1] = _stride_mean(k, row, "length")
-            row[m - 1] = old
-        bumped.append(_hfd_result(n, out))
-    return _hfd_result(n, lengths), bumped
+            new_terms[e] = _length_terms(ks, cs, np.concatenate(columns))
+        values = None  # the last bumped series is not kept while the table is built
+        tables = []
+        base = _stride_averages(ts, k_max, _length_terms, "length", tables=tables)
+        # each block's tables, one per eps, with the touched cells (k - lo, m - 1) rewritten
+        bounds = np.searchsorted(ks, [lo for lo, _, _ in tables] + [k_max + 1]).tolist()
+        means = []
+        for (lo, count, table), a, b in zip(tables, bounds, bounds[1:]):
+            table = np.repeat(table[None], len(new_terms), axis=0)
+            table[:, ks[a:b] - lo, ms[a:b] - 1] = new_terms[:, a:b]
+            means.append(np.add.accumulate(table, axis=2)[:, :, -1] / count)
+    bumped = [_hfd_result(n, _finite(lengths, "length")) for lengths in np.concatenate(means, axis=1)]
+    return _hfd_result(n, base), bumped

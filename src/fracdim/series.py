@@ -88,12 +88,12 @@ def sample(spec: "SignalSpec", n: int) -> TimeSeries:
     return TimeSeries(spec.sample_values(n))
 
 
-def _check_index(ts: TimeSeries, j) -> int:
+def _check_index(n: int, j) -> int:
     """``j`` as an int; DomainError unless it is an integer (not a bool) in
-    1..N."""
+    1..n."""
     j = _integer(j, "index j", DomainError)
-    if not 1 <= j <= ts.n:
-        raise DomainError(f"index j={j} outside 1..{ts.n}")
+    if not 1 <= j <= n:
+        raise DomainError(f"index j={j} outside 1..{n}")
     return j
 
 
@@ -102,7 +102,7 @@ def perturb(ts: TimeSeries, j: int, eps: float) -> TimeSeries:
 
     Every other entry is bit-identical to the input.
     """
-    j = _check_index(ts, j)
+    j = _check_index(ts.n, j)
     values = ts.values.copy()
     with np.errstate(over="ignore"):
         values[j - 1] += eps

@@ -104,11 +104,13 @@ class TraceRow(NamedTuple):
 
 
 def _check_eps_grid(eps_grid) -> List[float]:
-    """The bump sizes as floats; DomainError unless they are positive and
-    strictly decreasing."""
+    """The bump sizes as floats; DomainError unless they are positive, finite
+    and strictly decreasing."""
     grid = [float(e) for e in eps_grid]
     if len(grid) < 1 or any(e <= 0.0 for e in grid):
         raise DomainError("eps grid must contain positive values only")
+    if not all(map(math.isfinite, grid)):
+        raise DomainError("eps grid must contain finite values only")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DomainError("eps grid must be strictly decreasing")
     return grid

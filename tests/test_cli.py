@@ -577,6 +577,27 @@ REFUSED_BEFORE_READING = {
     "stability_eps_grid_not_positive": (
         ["stability", *W_2M, "--kmax", "5", "--eps-grid", "1e-3,0"], "eps grid must contain positive values only"
     ),
+    "stability_eps_grid_nan": (
+        ["stability", *W_2M, "--kmax", "5", "--eps-grid", "1e-3,nan"], "eps grid must contain finite values only"
+    ),
+    "stability_eps_grid_inf": (
+        ["stability", *W_2M, "--kmax", "5", "--eps-grid", "inf,1e-3"], "eps grid must contain finite values only"
+    ),
+    "hfd_kmax_beyond_half_n": (
+        ["hfd", *W_2M, "--kmax", "1500000"], "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=1500000"
+    ),
+    "hfd_kmax_zero": (["hfd", *W_2M, "--kmax", "0"], "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=0"),
+    "stability_kmax_beyond_half_n": (
+        ["stability", *W_2M, "--kmax", "1000001"], "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=1000001"
+    ),
+    "stability_index_zero": (["stability", *W_2M, "--kmax", "5", "--index", "0"], "index j=0 outside 1..2000000"),
+    "stability_index_beyond_n": (
+        ["stability", *W_2M, "--kmax-rule", "half", "--index", "2000001"], "index j=2000001 outside 1..2000000"
+    ),
+    "stability_kmax_before_index": (
+        ["stability", *W_2M, "--kmax", "1000001", "--index", "0"],
+        "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=1000001",
+    ),
 }
 
 

@@ -1,10 +1,10 @@
 """The (k, m) length table against the estimator's first, loop-based form.
 
 The oracle below is the original double loop over strides and offsets, one
-``variation_sum`` call per (k, m) and a Python ``sum`` per stride, written
-once for lengths and areas alike.  The table in :mod:`fracdim.higuchi` must
-reproduce it bit for bit: the exact zero test on L(k) and the frozen golden
-values leave no room for rounding changes.
+``variation_sum`` call per (k, m) and a left-to-right loop over the terms
+of each stride, written once for lengths and areas alike.  The table in
+:mod:`fracdim.higuchi` must reproduce it bit for bit: the exact zero test on
+L(k) and the frozen golden values leave no room for rounding changes.
 The table does its bookkeeping per block of strides, so the comparisons
 also run with blocks of one stride, of at most 7 cells and of 2**16 cells.
 Within a block, strides that share the full-row count (N-k)//k are summed
@@ -64,7 +64,10 @@ def oracle_averages(ts, k_max, term, want_detail=False):
             terms.append(term(k, c, v))
             if want_detail:
                 detail.append(DetailRow(k, m, c, v, terms[-1]))
-        out[k - 1] = sum(terms) / len(terms) if terms else 0.0
+        total = 0.0
+        for t in terms:  # left to right: the builtin sum is compensated from Python 3.12 on
+            total += t
+        out[k - 1] = total / len(terms) if terms else 0.0
     return out, detail
 
 

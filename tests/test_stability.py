@@ -340,6 +340,18 @@ class TestIncrementalBump:
             divergence_trace(alternating_series, 50, j, [1e-3])
         assert calls == []
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bump_builds_no_table(self, alternating_series, eps, monkeypatch):
+        calls = []
+        real = higuchi._stride_averages
+        monkeypatch.setattr(higuchi, "_stride_averages", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+        with pytest.raises(DomainError, match=rf"^the bumped value X\(1\) \+ {eps!r} is not finite$"):
+            stability_report(alternating_series, 50, j=1, eps=eps)
+        grid_rule = "positive" if eps < 0 else "finite"
+        with pytest.raises(DomainError, match=rf"^eps grid must contain {grid_rule} values only$"):
+            divergence_trace(alternating_series, 50, 1, [1e-3, eps, 1e-5])
+        assert calls == []
+
     def test_bad_k_max_is_reported_before_bad_index(self, alternating_series):
         with pytest.raises(AdmissibilityError):
             stability_report(alternating_series, 51, j=0)
