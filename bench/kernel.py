@@ -10,36 +10,26 @@ five-value `divergence_trace` and a one-bump `stability_report`
 `paper_scale`) and at N = 4000: the layout of a bump experiment is built
 once per call, so the report shows that cost and the trace its per-eps
 part.  The signal-sampling layer is timed as `sample(Weierstrass(5, 1.7), N)`
-at N = 1e5, and one extra call outside the timed samples records its
-tracemalloc peak, the memory of its one points x terms table.  Each time
-is recorded as the best, the median and the quartiles of
-its samples, under a label in a JSON file (by default
-`BENCH_kernel.json` at the root of the checkout), keeping the other labels
-there.  To record two commits, run it once per checkout, each with its own
-`--src`:
+at N = 1e5, and one extra call of each tree outside the timed rounds
+records its tracemalloc peak, the memory of its one points x terms table.
 
-    python bench/kernel.py --label parent --src ../parent/src
-    python bench/kernel.py --label change
+    python bench/kernel.py --against ../parent/src
 
-Separate runs cannot rank the two on a noisy host: on a 2-CPU VM whole runs
-of one commit moved 30-56% between phases of the host, while each run's
-quartiles spanned a few percent, so a change lands outside the parent's
-interquartile range about as often for unchanged code as for a real
-difference.  To rank two commits, load both into one process:
-
-    python bench/kernel.py --label against-parent --against ../parent/src
-
-imports the `--src` package, drops every `fracdim` module from
-`sys.modules` and imports the `--against` package; each keeps its own
-functions and classes, and each row's inputs are built from its own
-package.  Every row then alternates the two calls round by round,
-switching which goes first, so that the per-round ratios share the host's
-phase.  The label records the median change/parent time ratio (`--src`
-over `--against`), its quartiles, the rounds the change won and both
-commits.  The ratios still carry a load-order bias (the package imported
-second, or called second, can run a few percent apart from the first:
-up to 2-4% on a 2-CPU VM); size it with an A/A run, `--against` the same
-tree, and read a ratio only against that spread.
+imports the `--src` package (by default this checkout's), drops every
+`fracdim` module from `sys.modules` and imports the `--against` package;
+each keeps its own functions and classes, and each row's inputs are built
+from its own package.  Every row then alternates the two calls round by
+round, switching which goes first, so that the per-round ratios share the
+host's phase: on a 2-CPU VM whole runs of one commit moved 30-56% between
+phases of the host, so separate runs cannot rank two commits.  Each row
+records the median change/parent time ratio (`--src` over `--against`), its
+quartiles, the rounds the change won and both median times in ms.  The run
+is stored in a JSON file (by default `BENCH_kernel.json` at the root of the
+checkout) under the key "<commit> vs <against commit>", each from
+`git describe`, keeping the other runs there.  The ratios still carry a load-order bias (the
+package imported second, or called second, can run a few percent apart from
+the first: up to 2-4% on a 2-CPU VM); size it with an A/A run,
+`--against src`, and read a ratio only against that spread.
 
 `--quick` runs the smallest sizes once, to check that the script still runs.
 """
@@ -64,25 +54,6 @@ TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 REPORT_EPS = 1e-10
 REPEAT = 11
 MIN_SAMPLE_S = 0.05
-
-
-def timing(fn, repeat: int) -> dict:
-    """Per-call times in ms: the best of ``repeat`` samples and the median
-    and quartiles of all but the first, each sample of enough calls to take
-    at least ``MIN_SAMPLE_S`` (one call, not repeated, when ``repeat`` is 1)."""
-    start = time.perf_counter()
-    fn()
-    samples = [time.perf_counter() - start]
-    number = 1 if repeat == 1 else max(1, int(MIN_SAMPLE_S / max(samples[0], 1e-9)))
-    for _ in range(repeat - 1):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        samples.append((time.perf_counter() - start) / number)
-    timed = samples[1:] or samples  # the first call also warms up
-    q1, median, q3 = statistics.quantiles(timed, n=4, method="inclusive") if len(timed) > 1 else timed * 3
-    return {name: round(x * 1e3, 4) for name, x in
-            (("best_ms", min(samples)), ("median_ms", median), ("q1_ms", q1), ("q3_ms", q3))}
 
 
 def commit_of(src: str) -> str:
@@ -132,16 +103,6 @@ def peak_mb(fn) -> float:
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return round(peak / 1e6, 3)
-
-
-def run(pkg, sizes, longs, trace_sizes, sample_sizes, repeat: int):
-    rows = []
-    for row, fn in cases(pkg, sizes, longs, trace_sizes, sample_sizes):
-        row.update(timing(fn, repeat))
-        if row["op"] == "sample":
-            row["peak_mb"] = peak_mb(fn)
-        rows.append(row)
-    return rows
 
 
 def paired(change, parent, rounds: int) -> dict:
@@ -201,16 +162,16 @@ def load(src: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="change", help="key of this run in the output file")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory that holds the fracdim package")
-    parser.add_argument("--against", help="directory of a second fracdim package to rank --src against, in one process")
+    parser.add_argument("--against", required=True,
+                        help="directory of a second fracdim package to rank --src against, in one process")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernel.json"))
-    parser.add_argument("--quick", action="store_true", help="the smallest size only, one run each")
+    parser.add_argument("--quick", action="store_true", help="the smallest size only, one round each")
     args = parser.parse_args(argv)
 
     import numpy as np
 
-    src = os.path.abspath(args.src)
+    src, against = os.path.abspath(args.src), os.path.abspath(args.against)
     pkg = load(src)
     if args.quick:
         sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1])
@@ -219,33 +180,23 @@ def main(argv=None) -> int:
     repeat = 1 if args.quick else REPEAT
     record = {
         "commit": commit_of(src),
+        "against_commit": commit_of(against),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
         "repeat": repeat,
+        "results": run_against(pkg, load(against), *sizes, repeat),
     }
-    if args.against is None:
-        rows = run(pkg, *sizes, repeat)
-    else:
-        against = os.path.abspath(args.against)
-        record["against_commit"] = commit_of(against)
-        rows = run_against(pkg, load(against), *sizes, repeat)
-    record["results"] = rows
-    for row in rows:
-        head = f"{row['op']:>16} N={row['n']:<6} k_max={row.get('k_max', '-'):<5}"
-        if args.against is None:
-            peak = f"  peak {row['peak_mb']:.1f} MB" if "peak_mb" in row else ""
-            print(f"{head} best {row['best_ms']:10.3f} ms"
-                  f"  median {row['median_ms']:10.3f} [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}] ms{peak}")
-        else:
-            print(f"{head} change/against {row['ratio_median']:.4f} [{row['ratio_q1']:.4f}, {row['ratio_q3']:.4f}]"
-                  f"  won {row['won']}/{row['rounds']}  {row['median_ms']:.3f} vs {row['against_median_ms']:.3f} ms")
+    for row in record["results"]:
+        print(f"{row['op']:>16} N={row['n']:<6} k_max={row.get('k_max', '-'):<5}"
+              f" change/against {row['ratio_median']:.4f} [{row['ratio_q1']:.4f}, {row['ratio_q3']:.4f}]"
+              f"  won {row['won']}/{row['rounds']}  {row['median_ms']:.3f} vs {row['against_median_ms']:.3f} ms")
     try:
         with open(args.out) as fh:
             data = json.load(fh)
     except FileNotFoundError:
         data = {"bench": "bench/kernel.py", "runs": {}}
-    data["runs"][args.label] = record
+    data["runs"][f"{record['commit']} vs {record['against_commit']}"] = record
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")

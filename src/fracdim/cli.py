@@ -28,7 +28,7 @@ from .geometry import (
     box_dim_estimate,
 )
 from .higuchi import _check_admissible, ceil_half, hfd
-from .series import TimeSeries, _check_index, _check_sample_count, read_csv, sample, to_csv_text
+from .series import TimeSeries, _check_bumped, _check_index, _check_sample_count, read_csv, sample, to_csv_text
 from .signals import (
     Affine,
     Alternating,
@@ -211,6 +211,9 @@ def cmd_stability(args) -> int:
         raise DomainError(
             "the stability report has only a JSON form: pass --format json, or --eps-grid for a CSV trace"
         )
+    else:
+        # a finite X(j) plus a non-finite eps is never finite: refused before the series is read
+        _check_bumped(args.index, args.eps, args.eps)
     ts = _load_series(args, args.index)
     k_max = _kmax(args, ts.n)
     if args.eps_grid:

@@ -11,9 +11,10 @@ mesh-area approximations at scale k/(N-1); regressing their logs against
 log(k/(N-1)) and subtracting the slope from 2 reproduces the estimator
 exactly, which :func:`geometric_hfd` implements.  The areas are averaged
 from the estimator's own (k, m, q, C, V) table in :mod:`fracdim.higuchi`,
-with the same fixed summation order (sequential column sum for V,
-Python ``sum`` over ascending m), so lengths and areas share every V bit for
-bit and a non-finite area raises :class:`DomainError` as a length does.
+with the same fixed summation order (sequential column sum for V, one
+numpy running sum over ascending m for each mean), so lengths and areas
+share every V bit for bit and a non-finite area raises
+:class:`DomainError` as a length does.
 """
 from __future__ import annotations
 

@@ -32,12 +32,12 @@ change no bit.  A non-finite length or area, which finite values reach only
 through overflow, raises :class:`DomainError` naming the stride.
 
 The bump experiments of :mod:`fracdim.stability` run through
-:func:`_bumped_results`, which keeps the unperturbed tables of terms.  A
-bump at sample j changes one offset per stride, m = (j-1) mod k + 1, so only
-that V(k, m) is recomputed per stride and bump size, from samples laid out
-once per call.  The new terms of every bump size go into one stacked copy of
-each table, averaged at once: bit-identical to :func:`hfd` of the bumped
-series.
+:func:`_bumped_results`.  A bump at sample j changes one offset per stride,
+m = (j-1) mod k + 1, so only that V(k, m) is recomputed per stride and bump
+size, from samples laid out once per call.  As each block's unperturbed
+table of terms is built, the new terms of every bump size go into one
+stacked copy of it, averaged at once, so only one block's tables are held at
+a time: bit-identical to :func:`hfd` of the bumped series.
 """
 from __future__ import annotations
 
@@ -193,12 +193,13 @@ def _run_columns(padded: np.ndarray, a: int, b: int, f: int) -> np.ndarray:
     return _sum_rows(d)
 
 
-def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, tables=None) -> np.ndarray:
+def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, each_block=None) -> np.ndarray:
     """Per-stride averages of ``term(k, C, V)`` over the offsets with an
     increment, k = 1..k_max.  Per block of strides, ``term`` is applied to
     the column of strides k and to (stride x offset) tables of C and V, zero
     after each stride's offsets.  Each (k, m) row is appended to ``rows``,
-    and each block's (lo, count, table of terms) to ``tables``, when given."""
+    when given, and ``each_block(lo, count, table of terms)`` is called on
+    each block as soon as it is built."""
     k_max = _check_admissible(ts.n, k_max)
     n = ts.n
     padded = np.concatenate([ts.values, np.full(k_max, np.nan)])
@@ -221,8 +222,8 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, tab
             c = np.where(m < splits[s, None], firsts[s, None], rests[s, None])
             t = term(ks[s, None], c, v)
             out.append(np.add.accumulate(t, axis=1)[:, -1] / count)  # each row in ascending m
-            if tables is not None:
-                tables.append((lo, count, t))
+            if each_block is not None:
+                each_block(lo, count, t)
             if rows is not None:
                 k, m = np.nonzero(cell)
                 cells = (k + lo, m + 1, c[cell], v[cell], t[cell])
@@ -391,14 +392,15 @@ def _bumped_results(ts: TimeSeries, k_max, j, eps_values) -> Tuple[HfdResult, Li
                 columns.append(_sum_rows(d))
             new_terms[e] = _length_terms(ks, cs, np.concatenate(columns))
         values = None  # the last bumped series is not kept while the table is built
-        tables = []
-        base = _stride_averages(ts, k_max, _length_terms, "length", tables=tables)
-        # each block's tables, one per eps, with the touched cells (k - lo, m - 1) rewritten
-        bounds = np.searchsorted(ks, [lo for lo, _, _ in tables] + [k_max + 1]).tolist()
         means = []
-        for (lo, count, table), a, b in zip(tables, bounds, bounds[1:]):
-            table = np.repeat(table[None], len(new_terms), axis=0)
-            table[:, ks[a:b] - lo, ms[a:b] - 1] = new_terms[:, a:b]
+
+        def bump(lo, count, table):
+            # ks is 1, 2, ..., less k = ceil(N/2) when its touched offset has no increment
+            touched = slice(lo - 1, lo - 1 + count.size)
+            table = np.repeat(table[None], len(new_terms), axis=0)  # one per eps
+            table[:, ks[touched] - lo, ms[touched] - 1] = new_terms[:, touched]
             means.append(np.add.accumulate(table, axis=2)[:, :, -1] / count)
+
+        base = _stride_averages(ts, k_max, _length_terms, "length", each_block=bump)
     bumped = [_hfd_result(n, _finite(lengths, "length")) for lengths in np.concatenate(means, axis=1)]
     return _hfd_result(n, base), bumped

@@ -106,9 +106,14 @@ def perturb(ts: TimeSeries, j: int, eps: float) -> TimeSeries:
     values = ts.values.copy()
     with np.errstate(over="ignore"):
         values[j - 1] += eps
-    if not np.isfinite(values[j - 1]):
-        raise DomainError(f"the bumped value X({j}) + {eps!r} is not finite")
+    _check_bumped(j, eps, values[j - 1])
     return TimeSeries(values)
+
+
+def _check_bumped(j: int, eps: float, bumped: float) -> None:
+    """DomainError unless ``bumped``, the value X(j) + eps, is finite."""
+    if not np.isfinite(bumped):
+        raise DomainError(f"the bumped value X({j}) + {eps!r} is not finite")
 
 
 def to_csv_text(ts: TimeSeries) -> str:

@@ -583,6 +583,12 @@ REFUSED_BEFORE_READING = {
     "stability_eps_grid_inf": (
         ["stability", *W_2M, "--kmax", "5", "--eps-grid", "inf,1e-3"], "eps grid must contain finite values only"
     ),
+    "stability_eps_nan": (
+        ["stability", *W_2M, "--kmax", "5", "--eps", "nan"], "the bumped value X(1) + nan is not finite"
+    ),
+    "stability_eps_inf": (
+        ["stability", *W_2M, "--kmax", "5", "--eps", "inf"], "the bumped value X(1) + inf is not finite"
+    ),
     "hfd_kmax_beyond_half_n": (
         ["hfd", *W_2M, "--kmax", "1500000"], "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=1500000"
     ),

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -328,6 +329,17 @@ class TestIncrementalBump:
         monkeypatch.setattr(higuchi, "_stride_averages", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
         divergence_trace(alternating_series, 50, 1, grid)
         assert calls == [50]
+
+    def test_report_holds_one_block_table_at_a_time(self):
+        # every block's table of terms at once is about k_max**2 / 2 cells, 17 MB here
+        ts = TimeSeries(np.random.default_rng(4000).normal(size=4000))
+        tracemalloc.start()
+        try:
+            stability_report(ts, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @pytest.mark.parametrize("j", [0, 101, 1.5, True])
     def test_refused_index_builds_no_table(self, alternating_series, j, monkeypatch):
