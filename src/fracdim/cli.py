@@ -116,9 +116,10 @@ def _emit(args, header, rows, payload=None) -> None:
     _write_output(text, args.out)
 
 
-def _load_series(args, index=None) -> TimeSeries:
+def _load_series(args, index=None, eps=None) -> TimeSeries:
     """The series of --input, or of --signal sampled at --n.  Before a signal
-    is sampled, --kmax and a bump ``index`` are checked against --n."""
+    is sampled, --kmax and a bump ``index`` are checked against --n, in that
+    order, and then a bump size ``eps``."""
     if args.input:
         if args.signal is not None:
             raise DomainError("pass either --signal or --input, not both")
@@ -133,6 +134,9 @@ def _load_series(args, index=None) -> TimeSeries:
         _check_admissible(n, args.kmax)
     if index is not None:
         _check_index(n, index)
+    if eps is not None:
+        # a finite X(j) plus a non-finite eps is never finite
+        _check_bumped(index, eps, eps)
     return sample(spec, n)
 
 
@@ -211,10 +215,8 @@ def cmd_stability(args) -> int:
         raise DomainError(
             "the stability report has only a JSON form: pass --format json, or --eps-grid for a CSV trace"
         )
-    else:
-        # a finite X(j) plus a non-finite eps is never finite: refused before the series is read
-        _check_bumped(args.index, args.eps, args.eps)
-    ts = _load_series(args, args.index)
+    # --eps is unused in trace mode
+    ts = _load_series(args, args.index, None if args.eps_grid else args.eps)
     k_max = _kmax(args, ts.n)
     if args.eps_grid:
         rows = divergence_trace(ts, k_max, args.index, args.eps_grid)
@@ -241,9 +243,12 @@ def cmd_sweep(args) -> int:
             raise DomainError(
                 f"no N from --n-min {args.n_min} to --n-max {args.n_max} in steps of {args.n_step}"
             )
-    # the largest N is refused before any N is sampled
+    # the largest N, and a fixed --kmax at every N, are refused before any N is sampled
     _check_sample_count(max(grid[0], grid[-1]))
     _check_kmax_options(args)
+    if args.kmax is not None:
+        for n in grid:
+            _check_admissible(_check_sample_count(n), args.kmax)
     rows = [(n, hfd(sample(spec, n), _kmax(args, n)).slope) for n in grid]
     _emit(args, ("N", "D"), rows)
     return 0

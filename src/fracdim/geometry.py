@@ -128,9 +128,12 @@ def box_dim_estimate(
         raise DomainError(f"need at least 2 levels, got {levels}")
     if levels > _EVAL_LIMIT:
         raise DomainError(f"need at most {_EVAL_LIMIT} levels, got {levels}")
+    # the finest mesh, deltas[0] == delta_min, is counted before the grid is
+    # built, so whatever box_count refuses there costs no grid
+    finest = box_count(spec, float(delta_min), samples_per_column, n_samples=n_samples)
     deltas = np.geomspace(delta_min, delta_max, levels)
     counts = np.array(
-        [box_count(spec, float(d), samples_per_column, n_samples=n_samples) for d in deltas]
+        [finest] + [box_count(spec, float(d), samples_per_column, n_samples=n_samples) for d in deltas[1:]]
     )
     # counts beyond 2**64 make an object array, which has no logarithm
     real_counts = counts.astype(float)

@@ -12,9 +12,9 @@ The Weierstrass sum is evaluated in double precision, which sets a floor
 on its accuracy.  Term j has the phase lam**j * t, and once lam**j passes
 2**53 the rounded product no longer carries that phase, so further terms
 add noise of the size they were meant to add in signal.  The sum therefore
-stops at the precision cap (the largest J with lam**J <= 2**53), and its
-tolerance is ``DEFAULT_TAIL_TOL``; :func:`weierstrass_error_bound` gives the
-error that can actually be reached (below 6e-5 for lam = 5, s = 1.7).
+stops at the precision cap, the largest J with lam**J <= 2**53, and
+:func:`weierstrass_error_bound` gives the error that can actually be reached
+(below 6e-5 for lam = 5, s = 1.7).
 """
 from __future__ import annotations
 
@@ -27,10 +27,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .series import _EVAL_LIMIT, TimeSeries, _check_sample_count, sample_grid
-
-# Requested truncation tail of the Weierstrass sum.  Below the precision
-# floor of weierstrass_error_bound it only asks for terms the cap withholds.
-DEFAULT_TAIL_TOL = 1e-15
 
 # Largest sine argument lam**j whose float phase is still meaningful, and
 # the unit roundoff of a double.
@@ -74,38 +70,15 @@ def _precision_cap(lam: float) -> int:
     return max(1, cap)
 
 
-def _tail_count(ratio: float, tail_tol: float) -> int:
-    """Smallest J >= 1 with ``_tail_bound(ratio, J) < tail_tol``."""
-    count = max(1, math.floor((math.log(tail_tol) + math.log1p(-ratio)) / math.log(ratio)))
-    # the logarithms may round across an integer; settle it on the bound itself
-    while _tail_bound(ratio, count) >= tail_tol:
-        count += 1
-    while count > 1 and _tail_bound(ratio, count - 1) < tail_tol:
-        count -= 1
-    return count
-
-
-def weierstrass_term_count(lam: float, s: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Number of terms J of the Weierstrass sum: the smallest J whose
-    geometric tail bound, the sum of lam**((s-2)*j) over j > J, drops below
-    ``tail_tol``, capped at the precision cap, the largest J with
-    lam**J <= 2**53.
-
-    Past the cap a term's float phase is noise, so ``tail_tol`` can only
-    lower J below the cap, never push the accuracy past the floor given by
-    :func:`weierstrass_error_bound`.
-    """
+def weierstrass_term_count(lam: float, s: float) -> int:
+    """Number of terms J of the Weierstrass sum: the precision cap, the
+    largest J with lam**J <= 2**53.  Past it a term's float phase is noise,
+    so further terms cannot beat the floor of :func:`weierstrass_error_bound`."""
     if not lam > 1.0:
         raise DomainError(f"scale factor must exceed 1, got {lam}")
     if not 1.0 < s < 2.0:
         raise DomainError(f"target dimension must lie in (1, 2), got {s}")
-    if not 0.0 < tail_tol < math.inf:
-        raise DomainError(f"tail tolerance must be positive and finite, got {tail_tol}")
-    cap = _precision_cap(lam)
-    ratio = lam ** (s - 2.0)
-    if _tail_bound(ratio, cap) >= tail_tol:
-        return cap
-    return _tail_count(ratio, tail_tol)
+    return _precision_cap(lam)
 
 
 def _evaluable_term_count(lam: float, s: float, points: int) -> int:

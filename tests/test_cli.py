@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -539,8 +540,9 @@ BAD_INPUTS = {
 
 W_2M = ["--signal", "weierstrass", "--n", "2000000"]
 
-# refusals that sampled or read the series before they checked their
-# arguments; a library call or a CLI argv, and the message
+# refusals that sampled or read the series, or built a grid as large,
+# before they checked their arguments; a library call or a CLI argv, and
+# the message
 REFUSED_BEFORE_READING = {
     "convergence_bad_offset": (
         lambda: variation_convergence_check(Weierstrass(5.0, 1.7), 3, 4, [10**6 + 1]),
@@ -604,6 +606,45 @@ REFUSED_BEFORE_READING = {
         ["stability", *W_2M, "--kmax", "1000001", "--index", "0"],
         "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=1000001",
     ),
+    "stability_kmax_before_eps": (
+        ["stability", *W_2M, "--kmax", "1000001", "--eps", "nan"],
+        "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=1000001",
+    ),
+    "stability_index_before_eps": (
+        ["stability", *W_2M, "--kmax", "5", "--eps", "inf", "--index", "0"], "index j=0 outside 1..2000000"
+    ),
+    "sweep_kmax_beyond_half_n": (
+        ["sweep", "--signal", "weierstrass", "--n-grid", "2000000", "--kmax", "1500000"],
+        "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=1500000",
+    ),
+    "sweep_kmax_beyond_half_a_later_n": (
+        ["sweep", "--signal", "weierstrass", "--n-min", "2000000", "--n-max", "10", "--n-step", "-1999990",
+         "--kmax", "6"],
+        "need 1 <= k_max <= ceil(n/2) = 5, got k_max=6",
+    ),
+    "box_dim_one_sample_per_column": (
+        lambda: box_dim_estimate(Weierstrass(5.0, 1.7), levels=50_000_000, samples_per_column=1),
+        "need at least 2 samples per column, got 1",
+    ),
+    "box_dim_grid_defined_without_n_samples": (
+        lambda: box_dim_estimate(Alternating(*DEMO_ALTERNATING), levels=50_000_000),
+        "Alternating is grid-defined; pass n_samples",
+    ),
+    "box_dim_mesh_too_fine": (
+        lambda: box_dim_estimate(Weierstrass(5.0, 1.7), delta_min=1e-12, levels=50_000_000),
+        "mesh of 1000000000001 columns x 33 samples is too fine to evaluate",
+    ),
+    "boxdim_one_sample_per_column": (
+        ["boxdim", "--signal", "weierstrass", "--levels", "50000000", "--samples-per-column", "1"],
+        "need at least 2 samples per column, got 1",
+    ),
+    "boxdim_grid_defined_without_n": (
+        ["boxdim", "--signal", "alternating", "--levels", "50000000"], "Alternating is grid-defined; pass n_samples"
+    ),
+    "boxdim_mesh_too_fine": (
+        ["boxdim", "--signal", "weierstrass", "--delta-min", "1e-12", "--levels", "50000000"],
+        "mesh of 1000000000001 columns x 33 samples is too fine to evaluate",
+    ),
 }
 
 
@@ -614,14 +655,22 @@ class TestBadInput:
         for target in ("fracdim.cli.sample", "fracdim.cli.read_csv", "fracdim.variation.sample"):
             monkeypatch.setattr(target, lambda *args, target=target: read.append(target))
         call, message = REFUSED_BEFORE_READING[case]
-        if callable(call):
-            with pytest.raises(FracdimError) as excinfo:
-                call()
-            assert message in str(excinfo.value)
-        else:
-            assert run_cli(*call) == 2
-            assert f"error: {message}" in capsys.readouterr().err
+        tracemalloc.start()
+        try:
+            if callable(call):
+                with pytest.raises(FracdimError) as excinfo:
+                    call()
+                assert message in str(excinfo.value)
+            else:
+                assert run_cli(*call) == 2
+                assert f"error: {message}" in capsys.readouterr().err
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert read == []
+        # every case refuses at about 0.1 MB; a sample or mesh-size grid at
+        # these sizes takes hundreds
+        assert peak < 2**22, peak
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exits_2_with_message(self, case, tmp_path):

@@ -45,7 +45,9 @@ class TestWeierstrass:
             assert np.array_equal(eval_weierstrass(t, lam, s), expected), n
             assert eval_weierstrass(t[0], lam, s) == expected[0]
 
-    @pytest.mark.parametrize("lam,s", [(5.0, 1.7), (4.8, 1.7), (5.0, 1.5), (4.8, 1.5), (7.0, 1.6), (2.5, 1.3)])
+    @pytest.mark.parametrize(
+        "lam,s", [(5.0, 1.7), (4.8, 1.7), (5.0, 1.5), (4.8, 1.5), (7.0, 1.6), (2.5, 1.3), (2.0, 1.01), (5.0, 1.01)]
+    )
     def test_within_error_bound_of_multiprecision_sum(self, lam, s):
         # oracle: the series at the same float t, summed at a working
         # precision that covers the largest sine argument with 30 digits to
@@ -65,58 +67,37 @@ class TestWeierstrass:
         assert err <= weierstrass_error_bound(lam, s)
 
     def test_term_count_matches_high_precision_bound(self):
-        # oracle: the tail-bound inequality and the precision cap (the
-        # largest J with lam**J <= 2**53) evaluated at 60 digits
+        # oracle: the precision cap, the largest J with lam**J <= 2**53,
+        # stepped at 60 digits
         grid = [
-            *itertools.product([1.5, 2.0, 2.5, 4.8, 5.0, 7.0, 1e3, 1e20], [1.05, 1.3, 1.7, 1.95], [1e-15, 1e-6, 0.1]),
-            (1.001, 1.3, 1e-15),
-            (1.001, 1.3, 0.1),  # the cap does not bind
-            (1.001, 1.05, 0.1),
+            *itertools.product([1.5, 2.0, 2.5, 4.8, 5.0, 7.0, 1e3, 1e20], [1.01, 1.05, 1.3, 1.7, 1.95]),
+            (1.001, 1.3),
+            (1.001, 1.05),
         ]
-        for lam, s, tol in grid:
+        for lam, s in grid:
             with mp.workdps(60):
                 lam_mp = mp.mpf(lam)
                 cap, power = 0, lam_mp
                 while power <= mp.mpf(2) ** 53:
                     cap, power = cap + 1, power * lam_mp
-                cap = max(1, cap)
-                ratio = lam_mp ** (mp.mpf(s) - 2)
-                count, tail = 1, ratio**2 / (1 - ratio)
-                while count < cap and tail >= mp.mpf(tol):
-                    count, tail = count + 1, tail * ratio
-            assert weierstrass_term_count(lam, s, tol) == min(count, cap), (lam, s, tol)
+            assert weierstrass_term_count(lam, s) == max(1, cap), (lam, s)
 
     def test_term_count_equals_float_loops_at_rounding_boundaries(self):
-        # oracle: both inequalities stepped one term at a time in floats, at
-        # lam = 2**(53/k) and at tolerances equal to a tail bound or one ulp
-        # above it, where the logarithmic first guess lands one off
-        def float_loops(lam, s, tol):
+        # oracle: the cap stepped one term at a time in floats, at
+        # lam = 2**(53/k), where the logarithmic first guess lands one off
+        def float_loop(lam):
             cap = 0
             while lam ** (cap + 1) <= 2.0**53:
                 cap += 1
-            ratio = lam ** (s - 2.0)
-            count = 1
-            while count < cap and ratio ** (count + 1) / (1.0 - ratio) >= tol:
-                count += 1
-            return min(count, max(1, cap))
+            return max(1, cap)
 
-        cases = [(2.0 ** (53 / k), 1.7, 1e-300) for k in (2, 3, 6, 9, 11, 12, 18, 22, 40)]
-        for lam, s in [(1.5, 1.05), (1.5, 1.3), (2.5, 1.5), (5.0, 1.7), (7.0, 1.95)]:
-            ratio = lam ** (s - 2.0)
-            bounds = [ratio ** (c + 1) / (1.0 - ratio) for c in range(1, 18)]
-            cases += [(lam, s, tol) for b in bounds for tol in (b, math.nextafter(b, math.inf))]
-        for lam, s, tol in cases:
-            assert weierstrass_term_count(lam, s, tol) == float_loops(lam, s, tol), (lam, s, tol)
+        for lam in [2.0 ** (53 / k) for k in (2, 3, 6, 9, 11, 12, 18, 22, 40)] + [1.5, 2.5, 5.0, 7.0]:
+            assert weierstrass_term_count(lam, 1.7) == float_loop(lam), lam
         # next to 1 the cap is ~1e17 terms, too many to step through, and the
         # logarithm can land several terms short
         for lam in (1 + 2**-51, 1 + 7 * 2**-52, 1 + 10 * 2**-52):
-            cap = weierstrass_term_count(lam, 1.7, 1e-300)
+            cap = weierstrass_term_count(lam, 1.7)
             assert lam**cap <= 2.0**53 < lam ** (cap + 1), lam
-
-    @pytest.mark.parametrize("lam,s,tol,cap", [(5.0, 1.7, 1e-3, 22), (1.001, 1.3, 0.1, 36755)])
-    def test_tail_tol_lowers_count_below_cap(self, lam, s, tol, cap):
-        assert weierstrass_term_count(lam, s, 1e-300) == cap
-        assert weierstrass_term_count(lam, s, tol) < cap
 
     def test_construction_near_one_is_fast(self):
         start = time.perf_counter()
@@ -137,33 +118,10 @@ class TestWeierstrass:
         with pytest.raises(DomainError, match="367386 terms at 1000 points"):
             w.sample_values(1000)
 
-    def test_truncation_error_below_tail_tol(self):
-        # both tolerances lie above the precision floor, so the counts differ
-        grid = np.arange(1000) / 999.0
-        tol = 1e-3
-        assert weierstrass_term_count(5.0, 1.7, tol) < weierstrass_term_count(5.0, 1.7, tol / 10.0)
-
-        def partial_sum(count):
-            j = np.arange(1, count + 1, dtype=float)
-            return np.sum(np.sin(np.multiply.outer(grid, 5.0**j)) * 5.0 ** ((1.7 - 2.0) * j), axis=-1)
-
-        coarse = partial_sum(weierstrass_term_count(5.0, 1.7, tol))
-        fine = partial_sum(weierstrass_term_count(5.0, 1.7, tol / 10.0))
-        assert np.max(np.abs(coarse - fine)) < tol
-
     @pytest.mark.parametrize("lam,s", [(1.0, 1.7), (0.5, 1.7), (5.0, 1.0), (5.0, 2.0), (5.0, 2.5)])
     def test_rejects_bad_parameters(self, lam, s):
         with pytest.raises(DomainError):
             Weierstrass(lam, s)
-
-    def test_rejects_bad_tail_tol(self):
-        with pytest.raises(DomainError):
-            weierstrass_term_count(5.0, 1.7, 0.0)
-
-    @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
-    def test_rejects_non_finite_or_negative_tail_tol(self, tol):
-        with pytest.raises(DomainError):
-            weierstrass_term_count(5.0, 1.7, tol)
 
 
 class TestOscillation:
