@@ -11,12 +11,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
+from importlib.resources import files
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,13 +26,8 @@ from .signals import Affine, Alternating, Constant, Oscillation, PeriodicInterp,
 from .stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS, perturbed_length_closed_form, stability_report
 from .variation import Partition, total_variation_estimate, variation_convergence_check, variation_over_partition
 
-GOLDEN_ENV_VAR = "FRACDIM_GOLDEN_DIR"
 GOLDEN_TOL = 1e-9
 DETERMINISM_SUBSET = (2, 4, 9, 13)
-
-# Inside run_claims: golden_values cached for that run, so the file is parsed
-# at most once per run; None outside a run.
-_run_golden: ContextVar[Optional[Callable[[], dict]]] = ContextVar("fracdim_run_golden", default=None)
 
 
 @dataclass(frozen=True)
@@ -47,16 +40,10 @@ class CheckResult:
     passed: bool
 
 
+@functools.cache
 def golden_values() -> dict:
-    """Frozen calibration values; ``FRACDIM_GOLDEN_DIR`` overrides the
-    packaged file."""
-    override = os.environ.get(GOLDEN_ENV_VAR)
-    if override:
-        path = Path(override) / "expected.json"
-        with open(path, "r") as fh:
-            return json.load(fh)
-    from importlib.resources import files
-
+    """Frozen calibration values from the packaged ``golden/expected.json``,
+    parsed once per process; callers only read the dict."""
     return json.loads(files("fracdim").joinpath("golden/expected.json").read_text())
 
 
@@ -69,7 +56,7 @@ def _dev_row(claim: int, name: str, dev: float, tol: float) -> CheckResult:
 
 
 def _golden_row(claim: int, name: str, key_path: Sequence, got: float) -> CheckResult:
-    value = (_run_golden.get() or golden_values)()
+    value = golden_values()
     for key in key_path:
         value = value[key]
     dev = abs(got - float(value))
@@ -392,11 +379,7 @@ def run_claim(claim_id: int) -> List[CheckResult]:
 
 def run_claims(ids: Optional[Sequence[int]] = None) -> List[CheckResult]:
     selected = ALL_CLAIM_IDS if ids is None else tuple(ids)
-    token = _run_golden.set(functools.cache(golden_values))
-    try:
-        return [row for claim_id in selected for row in run_claim(claim_id)]
-    finally:
-        _run_golden.reset(token)
+    return [row for claim_id in selected for row in run_claim(claim_id)]
 
 
 def render_report(rows: Sequence[CheckResult]) -> str:

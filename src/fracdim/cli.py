@@ -243,8 +243,10 @@ def cmd_sweep(args) -> int:
             raise DomainError(
                 f"no N from --n-min {args.n_min} to --n-max {args.n_max} in steps of {args.n_step}"
             )
-    # the largest N, and a fixed --kmax at every N, are refused before any N is sampled
-    _check_sample_count(max(grid[0], grid[-1]))
+    # both ends of the grid, its extremes (the larger first), and a fixed
+    # --kmax at every N are refused before any N is sampled
+    for n in sorted((grid[0], grid[-1]), reverse=True):
+        _check_sample_count(n)
     _check_kmax_options(args)
     if args.kmax is not None:
         for n in grid:

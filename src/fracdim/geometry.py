@@ -58,7 +58,6 @@ def box_count(
     samples_per_column = _integer(samples_per_column, "samples_per_column", DomainError)
     if samples_per_column < 2:
         raise DomainError(f"need at least 2 samples per column, got {samples_per_column}")
-    f = as_callable(spec, n_samples=n_samples)
     if math.isinf(1.0 / delta):
         raise DomainError(f"mesh size {delta!r} is too fine: 1/delta overflows")
     n_cols = int(math.floor(1.0 / delta)) + 1
@@ -66,6 +65,8 @@ def box_count(
         raise DomainError(
             f"mesh of {n_cols} columns x {samples_per_column} samples is too fine to evaluate"
         )
+    # after the mesh checks: a grid-defined spec samples its spline knots here
+    f = as_callable(spec, n_samples=n_samples)
     lo = np.minimum(np.arange(n_cols) * delta, 1.0)
     hi = np.minimum(lo + delta, 1.0)
     offsets = np.arange(samples_per_column) / (samples_per_column - 1)

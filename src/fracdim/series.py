@@ -103,10 +103,11 @@ def perturb(ts: TimeSeries, j: int, eps: float) -> TimeSeries:
     Every other entry is bit-identical to the input.
     """
     j = _check_index(ts.n, j)
-    values = ts.values.copy()
     with np.errstate(over="ignore"):
-        values[j - 1] += eps
-    _check_bumped(j, eps, values[j - 1])
+        bumped = ts.values[j - 1] + eps
+    _check_bumped(j, eps, bumped)  # before the copy
+    values = ts.values.copy()
+    values[j - 1] = bumped
     return TimeSeries(values)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import importlib
 import io
 import json
@@ -18,9 +19,13 @@ from hypothesis import strategies as st
 from fracdim import (
     Alternating,
     Oscillation,
+    TimeSeries,
+    acceptance,
+    box_count,
     box_dim_estimate,
     divergence_trace,
     hfd,
+    perturb,
     read_csv,
     sample,
     stability_report,
@@ -539,6 +544,8 @@ BAD_INPUTS = {
 
 
 W_2M = ["--signal", "weierstrass", "--n", "2000000"]
+# built at import, outside any traced window: only the refusal is measured
+ZEROS_1M = TimeSeries(np.zeros(10**6))
 
 # refusals that sampled or read the series, or built a grid as large,
 # before they checked their arguments; a library call or a CLI argv, and
@@ -645,6 +652,30 @@ REFUSED_BEFORE_READING = {
         ["boxdim", "--signal", "weierstrass", "--delta-min", "1e-12", "--levels", "50000000"],
         "mesh of 1000000000001 columns x 33 samples is too fine to evaluate",
     ),
+    # a grid-defined spec anchors its spline on n_samples knots only after the mesh checks
+    "box_count_grid_defined_mesh_too_fine": (
+        lambda: box_count(Alternating(*DEMO_ALTERNATING), 1e-9, n_samples=10**7),
+        "mesh of 1000000000 columns x 33 samples is too fine to evaluate",
+    ),
+    "box_dim_grid_defined_mesh_too_fine": (
+        lambda: box_dim_estimate(Alternating(*DEMO_ALTERNATING), delta_min=1e-9, n_samples=10**7),
+        "mesh of 1000000000 columns x 33 samples is too fine to evaluate",
+    ),
+    "boxdim_grid_defined_mesh_too_fine": (
+        ["boxdim", "--signal", "alternating", "--n", "10000000", "--delta-min", "1e-9"],
+        "mesh of 1000000000 columns x 33 samples is too fine to evaluate",
+    ),
+    "perturb_non_finite_bump": (
+        lambda: perturb(ZEROS_1M, 1, math.inf), "the bumped value X(1) + inf is not finite"
+    ),
+    "stability_report_non_finite_bump": (
+        lambda: stability_report(ZEROS_1M, 64, 1, math.inf), "the bumped value X(1) + inf is not finite"
+    ),
+    "sweep_descending_to_one_sample": (
+        ["sweep", "--signal", "oscillation", "--n-min", "20000", "--n-max", "1", "--n-step", "-19999",
+         "--kmax-rule", "half"],
+        "need at least 2 samples, got n=1",
+    ),
 }
 
 
@@ -710,18 +741,14 @@ class TestVerifyCommand:
         assert "FAIL" not in text and "pass" in text
 
     def test_corrupted_golden_fails(self, tmp_path, monkeypatch):
-        import fracdim
-
-        packaged = Path(fracdim.__file__).parent / "golden" / "expected.json"
-        golden_dir = tmp_path / "golden"
-        golden_dir.mkdir()
-        data = json.loads(packaged.read_text())
+        data = copy.deepcopy(acceptance.golden_values())
         data["alternating"]["perturbed_d"] += 0.5
-        (golden_dir / "expected.json").write_text(json.dumps(data))
-        monkeypatch.setenv("FRACDIM_GOLDEN_DIR", str(golden_dir))
+        monkeypatch.setattr(acceptance, "golden_values", lambda: data)
         out = tmp_path / "report.txt"
         assert run_cli("verify", "--only", "8", "--out", str(out)) == 1
-        assert "FAIL" in out.read_text()
+        rows = out.read_text().splitlines()
+        row = next(line for line in rows if "  perturbed slope matches frozen calibration" in line)
+        assert row.endswith("FAIL")
 
     def test_unknown_claim_fails(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -730,9 +757,17 @@ class TestVerifyCommand:
         assert "unknown claim id" in row and row.endswith("FAIL")
 
     def test_missing_golden_dir_fails_cleanly(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACDIM_GOLDEN_DIR", str(tmp_path / "nowhere"))
+        """An install without the packaged golden/ directory."""
+
+        def unreadable():
+            raise FileNotFoundError("golden/expected.json")
+
+        monkeypatch.setattr(acceptance, "golden_values", unreadable)
         out = tmp_path / "report.txt"
         assert run_cli("verify", "--only", "8", "--out", str(out)) == 1
+        row = next(line for line in out.read_text().splitlines() if line.startswith("8 "))
+        assert "claim execution" in row and "FileNotFoundError: golden/expected.json" in row
+        assert row.endswith("FAIL")
 
     def test_console_script_entry(self):
         """Runs `python -m fracdim.cli verify --only 2`, not the installed `fracdim` script."""

@@ -158,6 +158,21 @@ class TestVariationSum:
         ts = TimeSeries(np.arange(5, dtype=float))
         assert variation_sum(ts, 3, 3) == 0.0
 
+    def test_left_to_right_order(self):
+        # the reference of tests/test_kernel_oracle.py, against a plain float loop
+        rng = np.random.default_rng(3)
+        for n in (2, 65, 1000, 10**5 + 1):
+            ts = TimeSeries(rng.standard_normal(n))
+            total = 0.0
+            for d in np.abs(np.diff(ts.values)).tolist():
+                total += d
+            assert variation_sum(ts, 1, 1) == total
+
+    def test_overflowing_sum_refused(self):
+        # hfd refuses the same series; no RuntimeWarning on the way
+        with pytest.raises(DomainError, match="the variation sum is inf"):
+            variation_sum(TimeSeries([1.7e308, -1.7e308, 1.7e308, 0.0]), 1, 1)
+
 
 class TestCurveLengths:
     def test_affine_inverse_k(self):

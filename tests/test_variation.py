@@ -89,6 +89,10 @@ class TestVariationOverPartition:
         oracle = variation_over_partition(Oscillation(20.0), Partition(sample_grid(10**6)))
         assert abs(coarse - oracle) < 0.1
 
+    def test_nan_value_refused(self):
+        with pytest.raises(DomainError, match="the variation sum is nan"):
+            variation_over_partition(lambda t: np.where(t == 1.0, np.nan, t), Partition([0.0, 0.5, 1.0]))
+
     def test_partition_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):
             variation_over_partition(Constant(0.0), Partition(np.array([-0.5, 0.5])))
@@ -165,6 +169,10 @@ class TestTotalVariationEstimate:
             variation_over_partition(Affine(1.7e308, 1.7e308), Partition(sample_grid(4)))
         with pytest.raises(DomainError, match="overflows"):
             variation_over_partition(Oscillation(1e300), Partition([0.0, 1e-150, 1.0]))
+
+    def test_infinite_value_refused(self):
+        with pytest.raises(DomainError, match="the variation sum is nan"):
+            total_variation_estimate(lambda t: np.where(t > 0.5, np.inf, t), 2)
 
     def test_needs_two_levels(self):
         with pytest.raises(DomainError):
