@@ -1,4 +1,4 @@
-"""Layer bench of the (k, m) kernel, `hfd`, `geometric_hfd` and the bump experiments, and of signal sampling.
+"""Layer bench of the (k, m) kernel, `hfd`, `geometric_hfd` and the bump experiments, and of signal sampling, box counting and variation traces.
 
 Times `hfd` and `geometric_hfd` on Gaussian noise at N = 260, 420, 1000 and
 4000 with k_max = ceil(N/2), `hfd` at N = 1e5 with k_max = 256 (the largest
@@ -10,8 +10,13 @@ five-value `divergence_trace` and a one-bump `stability_report`
 `paper_scale`) and at N = 4000: the layout of a bump experiment is built
 once per call, so the report shows that cost and the trace its per-eps
 part.  The signal-sampling layer is timed as `sample(Weierstrass(5, 1.7), N)`
-at N = 1e5, and one extra call of each tree outside the timed rounds
-records its tracemalloc peak, the memory of its one points x terms table.
+at N = 1e5, the box-count layer as `box_dim_estimate(Oscillation(20),
+delta_min)` at delta_min = 1e-3 and 5e-5 (a finest mesh of 20 001 columns x
+33 samples) and the variation layer as `total_variation_estimate(
+Weierstrass(5, 1.7), levels)` at 6 and 12 levels (65 536 midpoints at the
+last).  For these three ops one extra call of each tree outside the timed
+rounds records its tracemalloc peak: the memory of the one points x terms
+table of a sample, and of the mesh blocks of a box count or a trace.
 
     python bench/kernel.py --against ../parent/src
 
@@ -50,6 +55,10 @@ SIZES = (260, 420, 1000, 4000)
 LONGS = ((100_000, 256), (100_000, 2000))
 TRACE_SIZES = (150, 4000)
 SAMPLE_SIZES = (100_000,)
+BOX_DELTA_MINS = (1e-3, 5e-5)
+TV_LEVELS = (6, 12)
+PEAK_OPS = ("sample", "box_dim_estimate", "total_variation_estimate")
+INPUT_KEYS = ("n", "k_max", "signal", "delta_min", "levels")
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 REPORT_EPS = 1e-10
 REPEAT = 11
@@ -65,7 +74,7 @@ def commit_of(src: str) -> str:
     return out.stdout.strip()
 
 
-def cases(pkg, sizes, longs, trace_sizes, sample_sizes):
+def cases(pkg, sizes, longs, trace_sizes, sample_sizes, box_delta_mins, tv_levels):
     """(row, call) for every timed op, its inputs built from the package ``pkg``."""
     import numpy as np
 
@@ -93,6 +102,13 @@ def cases(pkg, sizes, longs, trace_sizes, sample_sizes):
     spec = pkg.Weierstrass(5.0, 1.7)
     for n in sample_sizes:
         out.append(({"op": "sample", "signal": "weierstrass(5, 1.7)", "n": n}, lambda n=n: pkg.sample(spec, n)))
+    oscillation = pkg.Oscillation(20.0)
+    for delta_min in box_delta_mins:
+        out.append(({"op": "box_dim_estimate", "signal": "oscillation(20)", "delta_min": delta_min},
+                    lambda d=delta_min: pkg.box_dim_estimate(oscillation, delta_min=d)))
+    for levels in tv_levels:
+        out.append(({"op": "total_variation_estimate", "signal": "weierstrass(5, 1.7)", "levels": levels},
+                    lambda levels=levels: pkg.total_variation_estimate(spec, levels)))
     return out
 
 
@@ -132,13 +148,11 @@ def paired(change, parent, rounds: int) -> dict:
             "against_median_ms": round(statistics.median(times[parent]) * 1e3, 4)}
 
 
-def run_against(pkg, other, sizes, longs, trace_sizes, sample_sizes, rounds: int):
+def run_against(pkg, other, sizes, rounds: int):
     rows = []
-    pairs = zip(cases(pkg, sizes, longs, trace_sizes, sample_sizes),
-                cases(other, sizes, longs, trace_sizes, sample_sizes))
-    for (row, change), (_, parent) in pairs:
+    for (row, change), (_, parent) in zip(cases(pkg, *sizes), cases(other, *sizes)):
         row.update(paired(change, parent, rounds))
-        if row["op"] == "sample":
+        if row["op"] in PEAK_OPS:
             row["peak_mb"], row["against_peak_mb"] = peak_mb(change), peak_mb(parent)
         rows.append(row)
     return rows
@@ -174,9 +188,9 @@ def main(argv=None) -> int:
     src, against = os.path.abspath(args.src), os.path.abspath(args.against)
     pkg = load(src)
     if args.quick:
-        sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1])
+        sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1], BOX_DELTA_MINS[:1], TV_LEVELS[:1])
     else:
-        sizes = (SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES)
+        sizes = (SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES, BOX_DELTA_MINS, TV_LEVELS)
     repeat = 1 if args.quick else REPEAT
     record = {
         "commit": commit_of(src),
@@ -185,10 +199,11 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
         "repeat": repeat,
-        "results": run_against(pkg, load(against), *sizes, repeat),
+        "results": run_against(pkg, load(against), sizes, repeat),
     }
     for row in record["results"]:
-        print(f"{row['op']:>16} N={row['n']:<6} k_max={row.get('k_max', '-'):<5}"
+        label = " ".join(f"{key}={row[key]}" for key in INPUT_KEYS if key in row)
+        print(f"{row['op']:>24} {label:<40}"
               f" change/against {row['ratio_median']:.4f} [{row['ratio_q1']:.4f}, {row['ratio_q3']:.4f}]"
               f"  won {row['won']}/{row['rounds']}  {row['median_ms']:.3f} vs {row['against_median_ms']:.3f} ms")
     try:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .higuchi import _loglog_fit, _stride_averages, regression_slope
-from .series import _EVAL_LIMIT, TimeSeries, _integer
+from .series import _BLOCK_POINTS, _EVAL_LIMIT, TimeSeries, _integer
 from .signals import as_callable
 
 DEFAULT_DELTA_MIN = 1e-3
@@ -52,6 +52,10 @@ def box_count(
         Mesh size, 0 < delta <= 1.
     samples_per_column : int
         Evaluation points per column (endpoints included), >= 2.
+
+    The mesh is evaluated in blocks of whole columns, in ascending order, so
+    a callable ``spec`` must be elementwise: its value at a point may not
+    depend on the other points of the array it is given.
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"mesh size must lie in (0, 1], got {delta}")
@@ -67,21 +71,29 @@ def box_count(
         )
     # after the mesh checks: a grid-defined spec samples its spline knots here
     f = as_callable(spec, n_samples=n_samples)
-    lo = np.minimum(np.arange(n_cols) * delta, 1.0)
-    hi = np.minimum(lo + delta, 1.0)
     offsets = np.arange(samples_per_column) / (samples_per_column - 1)
-    # built in place: one mesh-size array, not two (see eval_oscillation)
-    points = (hi - lo)[:, None] * offsets[None, :]
-    points += lo[:, None]
-    values = np.asarray(f(points.ravel()), dtype=float).reshape(n_cols, samples_per_column)
+    # the columns go to f in ascending blocks of about _BLOCK_POINTS points;
+    # only each column's extremes outlive its block
+    step = max(1, _BLOCK_POINTS // samples_per_column)
+    tops, bottoms = np.empty(n_cols), np.empty(n_cols)
+    for a in range(0, n_cols, step):
+        b = min(a + step, n_cols)
+        lo = np.minimum(np.arange(a, b) * delta, 1.0)
+        hi = np.minimum(lo + delta, 1.0)
+        # built in place: one block-size array, not two
+        points = (hi - lo)[:, None] * offsets[None, :]
+        points += lo[:, None]
+        values = np.asarray(f(points.ravel()), dtype=float).reshape(b - a, samples_per_column)
+        values.max(axis=1, out=tops[a:b])
+        values.min(axis=1, out=bottoms[a:b])
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(np.floor(values.max(axis=1) / delta) - np.floor(values.min(axis=1) / delta) + 1.0)
+        total = np.sum(np.floor(tops / delta) - np.floor(bottoms / delta) + 1.0)
     if not math.isfinite(total):
         raise DomainError(f"graph values overflow the row count of the {delta!r}-mesh")
     if total >= 2**53:
         # the float sum is exact only below 2**53: add the columns' counts as ints
-        return sum(math.floor(a / delta) - math.floor(b / delta) + 1
-                   for a, b in zip(values.max(axis=1).tolist(), values.min(axis=1).tolist()))
+        return sum(math.floor(top / delta) - math.floor(bottom / delta) + 1
+                   for top, bottom in zip(tops.tolist(), bottoms.tolist()))
     return int(total)
 
 

@@ -116,7 +116,9 @@ def _partition_sum(values: np.ndarray) -> float:
     """Sum of |v_i - v_{i-1}|, accumulated left to right by :func:`_sum_rows`;
     DomainError unless it is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(_sum_rows(np.abs(np.diff(values))[:, None])[0])
+        steps = np.diff(values)
+        np.abs(steps, out=steps)
+        total = float(_sum_rows(steps[:, None])[0])
     if not math.isfinite(total):
         raise DomainError(f"the variation sum is {total!r}: the values overflow in floating point or are not finite")
     return total

@@ -21,10 +21,15 @@ if TYPE_CHECKING:
 SERIES_CSV_HEADER = ("j", "t", "x")
 CSV_GRID_TOL = 1e-9
 # Most array elements one evaluation may hold in memory: the samples of a
-# series, the points x terms of a Weierstrass sum, the columns x samples of
-# a box count, the mesh sizes of a box-dimension grid, the points of a
-# Higuchi partition and the finest grid of a variation trace.
+# series, the points x terms of a Weierstrass sum, the mesh sizes of a
+# box-dimension grid, the points of a Higuchi partition and the finest grid
+# of a variation trace.  A box count may span at most as many columns x
+# samples, though it holds only one block of them at a time.
 _EVAL_LIMIT = 50_000_000
+# Most points a box count or a variation trace hands the signal at once: a
+# mesh is evaluated block by block, so its temporaries, a Weierstrass sum's
+# points x terms table among them, do not grow with the mesh.
+_BLOCK_POINTS = 2**14
 
 
 def _integer(value, name: str, error) -> int:

@@ -130,8 +130,8 @@ def eval_oscillation(t, c: float):
         raise DomainError(f"oscillation rate must be positive, got {c}")
     arr = _as_unit_interval(t)
     t_sq = arr * arr
-    # one result array, updated in place: box counting evaluates meshes of
-    # up to 50M points, and each full-size temporary costs fresh pages
+    # one result array, updated in place: sampling evaluates series of up to
+    # 50M points at once, and each full-size temporary costs fresh pages
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.divide(c, arr, out=np.empty_like(arr))
         np.sin(out, out=out)
@@ -275,6 +275,8 @@ def as_callable(spec, n_samples: int | None = None) -> Callable:
     """Turn a signal spec (or a plain callable) into a vectorized function on [0, 1].
 
     Grid-defined specs need ``n_samples`` to anchor their linear spline.
+    A plain callable must be elementwise: box counts and variation traces
+    hand it their points block by block, not as one array.
     """
     if isinstance(spec, GRID_DEFINED):
         if n_samples is None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .higuchi import _nonempty_count, _partition_sum
-from .series import _EVAL_LIMIT, _check_sample_count, _integer, sample
+from .series import _BLOCK_POINTS, _EVAL_LIMIT, _check_sample_count, _integer, sample
 from .signals import as_callable
 
 TRACE_BASE_INTERVALS = 64
@@ -106,6 +106,11 @@ def total_variation_estimate(spec, levels: int) -> TvEstimate:
     point is exact and an even i / (64 * 2**n) equals (i/2) / (64 * 2**(n-1)):
     every level holds the same values as a grid evaluated from scratch.
     Each level is summed left to right.
+
+    The midpoints are evaluated in ascending slices of at most
+    ``_BLOCK_POINTS`` points, so a callable ``spec`` must be elementwise:
+    its value at a point may not depend on the other points of the array
+    it is given.
     """
     levels = _integer(levels, "levels", DomainError)
     if levels < 2:
@@ -124,7 +129,10 @@ def total_variation_estimate(spec, levels: int) -> TvEstimate:
         intervals *= 2
         refined = np.empty(intervals + 1)
         refined[0::2] = values
-        refined[1::2] = np.asarray(f(np.arange(1, intervals, 2, dtype=float) / intervals), dtype=float)
+        # the odd i in [a, b): at most _BLOCK_POINTS midpoints at a time
+        for a in range(1, intervals, 2 * _BLOCK_POINTS):
+            b = min(a + 2 * _BLOCK_POINTS, intervals)
+            refined[a:b:2] = np.asarray(f(np.arange(a, b, 2, dtype=float) / intervals), dtype=float)
         values = refined
         trace[level] = _partition_sum(values)
     return TvEstimate(float(trace[-1]), trace)

@@ -24,10 +24,12 @@ def test_quick_run_writes_one_record_keyed_by_its_commits(tmp_path):
     ((key, record),) = runs.items()
     assert key == f"{record['commit']} vs {record['commit']}" == f"{record['commit']} vs {record['against_commit']}"
     ops = [row["op"] for row in record["results"]]
-    assert ops == ["hfd", "geometric_hfd", "divergence_trace", "stability_report", "sample"]
+    assert ops == ["hfd", "geometric_hfd", "divergence_trace", "stability_report", "sample",
+                   "box_dim_estimate", "total_variation_estimate"]
     for row in record["results"]:
         assert {"ratio_median", "ratio_q1", "ratio_q3", "won", "median_ms", "against_median_ms"} <= row.keys()
-    assert {"peak_mb", "against_peak_mb"} <= record["results"][-1].keys()
+    for row in record["results"][-3:]:
+        assert {"peak_mb", "against_peak_mb"} <= row.keys()
 
 
 def test_against_is_required(tmp_path):

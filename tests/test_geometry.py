@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fracdim import (
     Oscillation,
     TimeSeries,
     Weierstrass,
+    as_callable,
     box_count,
     box_dim_estimate,
     curve_lengths,
@@ -23,6 +25,48 @@ from fracdim.acceptance import golden_values
 from fracdim.cli import main
 from fracdim.errors import AdmissibilityError, DomainError
 from fracdim.higuchi import ceil_half
+from fracdim.series import _BLOCK_POINTS
+
+SPC = 33
+STEP = _BLOCK_POINTS // SPC  # columns per block at 33 samples per column
+
+
+def column_oracle(f, delta, samples_per_column=SPC):
+    """The cell count with every column evaluated alone and counted in
+    integer arithmetic."""
+    offsets = np.arange(samples_per_column) / (samples_per_column - 1)
+    count = 0
+    for c in range(math.floor(1.0 / delta) + 1):
+        lo = min(c * delta, 1.0)
+        hi = min(lo + delta, 1.0)
+        values = np.asarray(f((hi - lo) * offsets + lo), dtype=float)
+        count += math.floor(values.max() / delta) - math.floor(values.min() / delta) + 1
+    return count
+
+
+def mesh_points(delta, samples_per_column=SPC):
+    """Every point of the mesh, column after column."""
+    n_cols = math.floor(1.0 / delta) + 1
+    lo = np.minimum(np.arange(n_cols) * delta, 1.0)
+    hi = np.minimum(lo + delta, 1.0)
+    offsets = np.arange(samples_per_column) / (samples_per_column - 1)
+    return ((hi - lo)[:, None] * offsets[None, :] + lo[:, None]).ravel()
+
+
+def wavy(t):
+    return np.sin(300.0 * t) + 0.5 * t
+
+
+class Spy:
+    """Plain elementwise callable that records the array of every call."""
+
+    def __init__(self, func):
+        self.func = func
+        self.calls = []
+
+    def __call__(self, t):
+        self.calls.append(np.array(t, dtype=float))
+        return self.func(t)
 
 
 class TestBoxCount:
@@ -76,6 +120,52 @@ class TestBoxCount:
             expected += math.floor(max(row) / delta) - math.floor(min(row) / delta) + 1
         assert count == expected and type(count) is int
         assert count >= 2**53 and int(float(count)) != count
+
+    @pytest.mark.parametrize("n_cols", [STEP - 1, STEP, STEP + 1, 2 * STEP + 1])
+    @pytest.mark.parametrize("spec", [Weierstrass(5.0, 1.7), Oscillation(20.0), wavy], ids=["W", "osc", "callable"])
+    def test_block_edges_match_per_column_oracle(self, spec, n_cols):
+        delta = 1.0 / (n_cols - 0.5)
+        assert math.floor(1.0 / delta) + 1 == n_cols
+        assert box_count(spec, delta) == column_oracle(as_callable(spec), delta)
+
+    def test_columns_longer_than_a_block_go_one_per_call(self):
+        spc = _BLOCK_POINTS + 3
+        spy = Spy(Weierstrass(5.0, 1.7).evaluate)
+        assert box_count(spy, 0.25, spc) == column_oracle(spy.func, 0.25, spc)
+        assert [call.size for call in spy.calls] == [spc] * 5
+
+    def test_counts_beyond_2_53_are_exact_across_blocks(self):
+        delta = 1e-3  # 1001 columns, three blocks
+
+        def f(t):
+            return 6.2e16 * np.sin(40.0 * t) + 1e17 * t
+
+        spy = Spy(f)
+        count = box_count(spy, delta)
+        assert len(spy.calls) == 3
+        assert count == column_oracle(f, delta) and type(count) is int
+        assert count >= 2**53 and int(float(count)) != count
+
+    def test_callable_sees_consecutive_blocks_in_ascending_order(self):
+        delta = 1.0 / 2500.5  # 2501 columns: five full blocks and a short one
+        spy = Spy(wavy)
+        box_count(spy, delta)
+        points = mesh_points(delta)
+        bounds = list(range(0, points.size, STEP * SPC)) + [points.size]
+        assert len(spy.calls) == 6
+        for call, a, b in zip(spy.calls, bounds, bounds[1:]):
+            assert np.array_equal(call, points[a:b])
+
+    def test_mesh_memory_does_not_grow_with_the_mesh(self):
+        # the whole 20001 x 33 mesh at once held about 16 MB of points,
+        # values and temporaries
+        tracemalloc.start()
+        try:
+            box_count(Oscillation(20.0), 5e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestAreaFromCount:

@@ -19,12 +19,16 @@ from fracdim import (
     TimeSeries,
     Weierstrass,
     as_callable,
+    box_count,
     sample,
     spec_from_dict,
     spec_to_dict,
+    total_variation_estimate,
     weierstrass_term_count,
 )
+from fracdim import signals
 from fracdim.errors import AdmissibilityError
+from fracdim.series import _BLOCK_POINTS
 from fracdim.signals import eval_oscillation, eval_spline, eval_weierstrass, weierstrass_error_bound
 
 
@@ -117,6 +121,26 @@ class TestWeierstrass:
         assert math.isfinite(w.evaluate(0.5))
         with pytest.raises(DomainError, match="367386 terms at 1000 points"):
             w.sample_values(1000)
+
+    def test_mesh_owners_bound_terms_per_block(self, monkeypatch):
+        # a box count or trace hands the sum one block of points at a time, so
+        # the points x terms bound applies to a block: 496 columns x 33 samples
+        # of the 1001-column mesh, or the 65 points of a trace's first level
+        w = Weierstrass(1 + 2**-52, 1.7)
+        with pytest.raises(DomainError, match=r"terms at 16368 points is too large to evaluate$"):
+            box_count(w, 1e-3)
+        with pytest.raises(DomainError, match=r"terms at 65 points is too large to evaluate$"):
+            total_variation_estimate(w, 12)
+        # a 22-term sum over the 33033-point mesh and the 65536 midpoints of a
+        # 12-level trace passes under a bound of 22 terms x one block
+        w = Weierstrass(5.0, 1.7)
+        count, trace = box_count(w, 1e-3), total_variation_estimate(w, 12).trace
+        monkeypatch.setattr(signals, "_EVAL_LIMIT", 22 * _BLOCK_POINTS)
+        assert box_count(w, 1e-3) == count
+        assert np.array_equal(total_variation_estimate(w, 12).trace, trace)
+        monkeypatch.setattr(signals, "_EVAL_LIMIT", 22 * 16368 - 1)
+        with pytest.raises(DomainError, match="22 terms at 16368 points"):
+            box_count(w, 1e-3)
 
     @pytest.mark.parametrize("lam,s", [(1.0, 1.7), (0.5, 1.7), (5.0, 1.0), (5.0, 2.0), (5.0, 2.5)])
     def test_rejects_bad_parameters(self, lam, s):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from fracdim import (
     Constant,
     Oscillation,
     Partition,
+    Weierstrass,
     as_callable,
     hfd,
     higuchi_partition,
@@ -177,6 +179,17 @@ class TestTotalVariationEstimate:
     def test_needs_two_levels(self):
         with pytest.raises(DomainError):
             total_variation_estimate(Constant(0.0), 1)
+
+    def test_midpoint_memory_does_not_grow_with_the_level(self):
+        # the last level's 65536 midpoints at once made a 65536 x 22 table
+        # of Weierstrass terms, about 11.5 MB
+        tracemalloc.start()
+        try:
+            total_variation_estimate(Weierstrass(5.0, 1.7), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     @pytest.mark.parametrize("levels", [21, 10**9])
     def test_finest_grid_beyond_eval_limit_refused_before_evaluating(self, levels):

@@ -30,6 +30,7 @@ from fracdim import (
     variation_sum,
 )
 from fracdim.errors import DomainError, EmptySubseriesError
+from fracdim.series import _BLOCK_POINTS
 from fracdim.variation import TRACE_BASE_INTERVALS, ConvergenceRow
 
 
@@ -86,7 +87,8 @@ class CountingSpy:
         return self.func(arr)
 
 
-@pytest.mark.parametrize("levels", [2, 5, 12])
+# at 10, 11 and 12 levels the last midpoints fill one, two and four whole blocks
+@pytest.mark.parametrize("levels", [2, 5, 10, 11, 12])
 @pytest.mark.parametrize("name", sorted(TRACE_SPECS))
 def test_trace_bit_equal_to_per_level_oracle(name, levels):
     spec = TRACE_SPECS[name]
@@ -106,6 +108,19 @@ def test_twelve_level_trace_evaluates_each_point_once():
     assert np.unique(points).size == finest + 1
     assert max(call.size for call in spy.calls) <= TRACE_BASE_INTERVALS * 2**10
     assert np.array_equal(np.sort(points), np.arange(finest + 1, dtype=float) / finest)
+
+
+def test_trace_midpoints_evaluated_in_ascending_blocks():
+    spy = CountingSpy(sinusoid)
+    total_variation_estimate(spy, 13)
+    expected = [np.arange(TRACE_BASE_INTERVALS + 1, dtype=float) / TRACE_BASE_INTERVALS]
+    for level in range(1, 13):
+        intervals = TRACE_BASE_INTERVALS * 2**level
+        midpoints = np.arange(1, intervals, 2, dtype=float) / intervals
+        expected += [midpoints[a : a + _BLOCK_POINTS] for a in range(0, midpoints.size, _BLOCK_POINTS)]
+    assert len(spy.calls) == len(expected) == 1 + 9 + 2 + 4 + 8
+    for call, points in zip(spy.calls, expected):
+        assert np.array_equal(call, points)
 
 
 def test_spy_trace_equals_direct_trace():
