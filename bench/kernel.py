@@ -14,9 +14,12 @@ at N = 1e5, the box-count layer as `box_dim_estimate(Oscillation(20),
 delta_min)` at delta_min = 1e-3 and 5e-5 (a finest mesh of 20 001 columns x
 33 samples) and the variation layer as `total_variation_estimate(
 Weierstrass(5, 1.7), levels)` at 6 and 12 levels (65 536 midpoints at the
-last).  For these three ops one extra call of each tree outside the timed
-rounds records its tracemalloc peak: the memory of the one points x terms
-table of a sample, and of the mesh blocks of a box count or a trace.
+last), and the CSV I/O layer as `read_csv` of a `Weierstrass(5, 1.7)`
+series at N = 1e5, which each tree writes with its own `write_csv` into a
+temporary directory.  For these four ops one extra call of each tree
+outside the timed rounds records its tracemalloc peak: the memory of a
+sample's terms chunks, of the mesh blocks of a box count or a trace, and
+of a parsed CSV file.
 
     python bench/kernel.py --against ../parent/src
 
@@ -36,7 +39,8 @@ package imported second, or called second, can run a few percent apart from
 the first: up to 2-4% on a 2-CPU VM); size it with an A/A run,
 `--against src`, and read a ratio only against that spread.
 
-`--quick` runs the smallest sizes once, to check that the script still runs.
+`--quick` runs the smallest sizes once, to check that the script still runs;
+the one `read_csv` size is part of it.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -57,7 +62,8 @@ TRACE_SIZES = (150, 4000)
 SAMPLE_SIZES = (100_000,)
 BOX_DELTA_MINS = (1e-3, 5e-5)
 TV_LEVELS = (6, 12)
-PEAK_OPS = ("sample", "box_dim_estimate", "total_variation_estimate")
+CSV_SIZES = (100_000,)
+PEAK_OPS = ("sample", "box_dim_estimate", "total_variation_estimate", "read_csv")
 INPUT_KEYS = ("n", "k_max", "signal", "delta_min", "levels")
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 REPORT_EPS = 1e-10
@@ -74,8 +80,9 @@ def commit_of(src: str) -> str:
     return out.stdout.strip()
 
 
-def cases(pkg, sizes, longs, trace_sizes, sample_sizes, box_delta_mins, tv_levels):
-    """(row, call) for every timed op, its inputs built from the package ``pkg``."""
+def cases(pkg, workdir, sizes, longs, trace_sizes, sample_sizes, box_delta_mins, tv_levels, csv_sizes):
+    """(row, call) for every timed op, its inputs built from the package ``pkg``;
+    its CSV files go under ``workdir``."""
     import numpy as np
 
     def noise(n):
@@ -109,6 +116,10 @@ def cases(pkg, sizes, longs, trace_sizes, sample_sizes, box_delta_mins, tv_level
     for levels in tv_levels:
         out.append(({"op": "total_variation_estimate", "signal": "weierstrass(5, 1.7)", "levels": levels},
                     lambda levels=levels: pkg.total_variation_estimate(spec, levels)))
+    for n in csv_sizes:
+        path = tempfile.mkstemp(suffix=".csv", dir=workdir)[1]
+        pkg.write_csv(pkg.sample(spec, n), path)
+        out.append(({"op": "read_csv", "signal": "weierstrass(5, 1.7)", "n": n}, lambda path=path: pkg.read_csv(path)))
     return out
 
 
@@ -150,11 +161,12 @@ def paired(change, parent, rounds: int) -> dict:
 
 def run_against(pkg, other, sizes, rounds: int):
     rows = []
-    for (row, change), (_, parent) in zip(cases(pkg, *sizes), cases(other, *sizes)):
-        row.update(paired(change, parent, rounds))
-        if row["op"] in PEAK_OPS:
-            row["peak_mb"], row["against_peak_mb"] = peak_mb(change), peak_mb(parent)
-        rows.append(row)
+    with tempfile.TemporaryDirectory() as workdir:
+        for (row, change), (_, parent) in zip(cases(pkg, workdir, *sizes), cases(other, workdir, *sizes)):
+            row.update(paired(change, parent, rounds))
+            if row["op"] in PEAK_OPS:
+                row["peak_mb"], row["against_peak_mb"] = peak_mb(change), peak_mb(parent)
+            rows.append(row)
     return rows
 
 
@@ -188,9 +200,9 @@ def main(argv=None) -> int:
     src, against = os.path.abspath(args.src), os.path.abspath(args.against)
     pkg = load(src)
     if args.quick:
-        sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1], BOX_DELTA_MINS[:1], TV_LEVELS[:1])
+        sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1], BOX_DELTA_MINS[:1], TV_LEVELS[:1], CSV_SIZES)
     else:
-        sizes = (SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES, BOX_DELTA_MINS, TV_LEVELS)
+        sizes = (SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES, BOX_DELTA_MINS, TV_LEVELS, CSV_SIZES)
     repeat = 1 if args.quick else REPEAT
     record = {
         "commit": commit_of(src),

@@ -84,8 +84,10 @@ def box_count(
         points = (hi - lo)[:, None] * offsets[None, :]
         points += lo[:, None]
         values = np.asarray(f(points.ravel()), dtype=float).reshape(b - a, samples_per_column)
-        values.max(axis=1, out=tops[a:b])
-        values.min(axis=1, out=bottoms[a:b])
+        # a samples x columns copy: each reduction runs along the columns
+        values = np.ascontiguousarray(values.T)
+        np.maximum.reduce(values, axis=0, out=tops[a:b])
+        np.minimum.reduce(values, axis=0, out=bottoms[a:b])
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(np.floor(tops / delta) - np.floor(bottoms / delta) + 1.0)
     if not math.isfinite(total):

@@ -21,15 +21,17 @@ if TYPE_CHECKING:
 SERIES_CSV_HEADER = ("j", "t", "x")
 CSV_GRID_TOL = 1e-9
 # Most array elements one evaluation may hold in memory: the samples of a
-# series, the points x terms of a Weierstrass sum, the mesh sizes of a
-# box-dimension grid, the points of a Higuchi partition and the finest grid
-# of a variation trace.  A box count may span at most as many columns x
-# samples, though it holds only one block of them at a time.
+# series, the mesh sizes of a box-dimension grid, the points of a Higuchi
+# partition and the finest grid of a variation trace.  It also bounds the
+# points x terms of one Weierstrass call, which builds its terms a chunk at
+# a time, and the columns x samples of a box count, which holds one block.
 _EVAL_LIMIT = 50_000_000
 # Most points a box count or a variation trace hands the signal at once: a
-# mesh is evaluated block by block, so its temporaries, a Weierstrass sum's
-# points x terms table among them, do not grow with the mesh.
+# mesh is evaluated block by block, so its points, values and column
+# extremes do not grow with the mesh.
 _BLOCK_POINTS = 2**14
+# str.splitlines breaks lines at these as well as at \n and \r
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 
 
 def _integer(value, name: str, error) -> int:
@@ -143,7 +145,7 @@ def from_csv_text(text: str) -> TimeSeries:
     ``CSV_GRID_TOL``; otherwise DomainError names the first offending line.
     """
     lines = text.splitlines()
-    if not lines or tuple(h.strip() for h in lines[0].split(",")) != SERIES_CSV_HEADER:
+    if not lines or _header(lines[0]) != SERIES_CSV_HEADER:
         raise DomainError(f"expected header {','.join(SERIES_CSV_HEADER)}")
     body = [line for line in lines[1:] if line]
     try:
@@ -155,8 +157,7 @@ def from_csv_text(text: str) -> TimeSeries:
     j, t, x = table.T
     ts = TimeSeries(x)
     n = ts.n
-    bad_j = np.flatnonzero(j != np.arange(1, n + 1))
-    bad_t = np.flatnonzero(~(np.abs(t - ts.grid) <= CSV_GRID_TOL))
+    bad_j, bad_t = _off_grid(j, t, n)
     if bad_j.size or bad_t.size:
         i = int(bad_j[0] if bad_j.size else bad_t[0])
         expected = f"j = {i + 1}" if bad_j.size else f"t = {i}/{n - 1} within {CSV_GRID_TOL:g}"
@@ -181,10 +182,54 @@ def _malformed_row(lines) -> DomainError:
     return DomainError("malformed series CSV: a value is not a plain decimal number")
 
 
+def _header(line: str) -> tuple:
+    return tuple(h.strip() for h in line.split(","))
+
+
+def _off_grid(j: np.ndarray, t: np.ndarray, n: int):
+    """Indices of the rows whose j is not 1..n in order, and of those whose
+    t is not (j-1)/(n-1) within ``CSV_GRID_TOL``."""
+    return (np.flatnonzero(j != np.arange(1, n + 1)),
+            np.flatnonzero(~(np.abs(t - sample_grid(n)) <= CSV_GRID_TOL)))
+
+
 def read_csv(path) -> TimeSeries:
+    """:func:`from_csv_text` of the file's text.
+
+    A file of plain ASCII lines whose rows all pass is parsed as it is
+    read, with no copy of its text; its lines are then the lines that
+    :func:`from_csv_text` splits.  Any other file is read whole and handed
+    to :func:`from_csv_text`, which names its fault.
+    """
+    with open(path, "r", newline="") as fh:
+        try:
+            table = _plain_table(fh)
+        except ValueError:  # bytes that are not text, or a row numpy cannot parse
+            table = None
+    # sample_grid's range: from_csv_text names the fault of any other length
+    if table is not None and table.shape[1:] == (3,) and 2 <= len(table) <= _EVAL_LIMIT:
+        j, t, x = table.T
+        if not any(bad.size for bad in _off_grid(j, t, len(table))):
+            return TimeSeries(x)
     with open(path, "r", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise DomainError(f"series file {str(path)!r} is not text: {exc}") from None
     return from_csv_text(text)
+
+
+def _plain_table(fh):
+    """The rows of an open ``j,t,x`` file, parsed by one ``np.loadtxt`` as
+    the file is read; None for a file with a character other than ASCII or
+    one of ``_OTHER_LINE_BREAKS``, another header, or no row."""
+    for chunk in iter(lambda: fh.read(2**16), ""):
+        if not chunk.isascii() or any(c in chunk for c in _OTHER_LINE_BREAKS):
+            return None
+    fh.seek(0)
+    if _header(fh.readline()) != SERIES_CSV_HEADER:
+        return None
+    for line in fh:  # the first row, past blank lines: numpy warns on no rows
+        if line.rstrip("\r\n"):
+            return np.loadtxt(itertools.chain((line,), fh), delimiter=",", comments=None, ndmin=2)
+    return None

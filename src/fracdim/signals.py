@@ -32,6 +32,9 @@ from .series import _EVAL_LIMIT, TimeSeries, _check_sample_count, sample_grid
 # the unit roundoff of a double.
 _PHASE_LIMIT = 2.0**53
 _UNIT_ROUNDOFF = 2.0**-53
+# Most terms one chunk of a Weierstrass sum holds: about 3000 points of
+# the 22 terms at lam = 5, and one point at a time past 65536 terms.
+_CHUNK_ENTRIES = 2**16
 
 
 def _as_unit_interval(t) -> np.ndarray:
@@ -113,15 +116,28 @@ def weierstrass_error_bound(lam: float, s: float) -> float:
 
 def eval_weierstrass(t, lam: float, s: float):
     """Partial sum of lam**((s-2)*j) * sin(lam**j * t) over the J terms of
-    :func:`weierstrass_term_count`, accurate to :func:`weierstrass_error_bound`
-    and built in one points x terms table, the one ``_EVAL_LIMIT`` budgets."""
+    :func:`weierstrass_term_count`, accurate to :func:`weierstrass_error_bound`.
+
+    ``_EVAL_LIMIT`` budgets the points x terms of a call.  The terms are
+    built in chunks of at most ``_CHUNK_ENTRIES`` of them, as a terms x
+    points table, so that each sine call runs along the phases of one term.
+    Each point's terms are then summed from a points x terms copy by the
+    same ``np.sum`` over the last axis as one points x terms table would
+    be, so the chunk size moves no bit of the result.
+    """
     arr = _as_unit_interval(t)
     count = _evaluable_term_count(lam, s, arr.size)
     j = np.arange(1, count + 1, dtype=float)
-    terms = np.multiply.outer(arr, lam**j)
-    np.sin(terms, out=terms)
-    terms *= lam ** ((s - 2.0) * j)
-    return _maybe_scalar(arr, np.sum(terms, axis=-1))
+    scales, weights = lam**j, (lam ** ((s - 2.0) * j))[:, None]
+    points = arr.ravel()
+    out = np.empty(points.size)
+    step = max(1, _CHUNK_ENTRIES // count)
+    for a in range(0, points.size, step):
+        terms = np.multiply.outer(scales, points[a : a + step])
+        np.sin(terms, out=terms)
+        terms *= weights
+        out[a : a + step] = np.sum(np.ascontiguousarray(terms.T), axis=-1)
+    return _maybe_scalar(arr, out.reshape(arr.shape))
 
 
 def eval_oscillation(t, c: float):

@@ -3,10 +3,10 @@ bridge between subseries increment sums and the variation of the sampled
 function.
 
 The signal is evaluated once per point: a trace refines its dyadic grids by
-midpoints, and a convergence row reads its partition from the sampled
-series.  Both give bit for bit the sums of evaluating every partition from
-scratch, because a shared point is the same float on both grids and
-evaluation is elementwise.
+midpoints, and a convergence row evaluates only its partition's points,
+which are points of the sample grid.  Both give bit for bit the sums of
+evaluating every partition from scratch, because a shared point is the
+same float on both grids and evaluation is elementwise.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError
 from .higuchi import _nonempty_count, _partition_sum
-from .series import _BLOCK_POINTS, _EVAL_LIMIT, _check_sample_count, _integer, sample
+from .series import _BLOCK_POINTS, _EVAL_LIMIT, _check_sample_count, _integer
 from .signals import as_callable
 
 TRACE_BASE_INTERVALS = 64
@@ -155,28 +155,30 @@ def variation_convergence_check(spec, k: int, m: int, n_grid) -> List[Convergenc
 
     The points of :func:`higuchi_partition` are exactly the grid quotients
     j/(n-1) for j = 0, m-1, m-1+k, ..., m-1+qk, n-1 (an endpoint that repeats
-    a point is dropped), so all three are read from the sampled values, the
-    increment sum from the slice that :func:`variation_sum` reads.
-    Grid-defined specs raise DomainError, as they have no continuous form
-    (see :func:`as_callable`).
+    a point is dropped), the divisions of :func:`sample_grid`.  The signal
+    is evaluated at those points only, so all three are read from the
+    sampled values that :func:`variation_sum` reads, plus f(0) and f(1).
+    A plain callable must be elementwise; grid-defined specs raise
+    DomainError, as they have no continuous form (see :func:`as_callable`).
     """
     grid = [_integer(n, "n_grid entry", AdmissibilityError) for n in n_grid]
     if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("n_grid must be strictly increasing")
-    as_callable(spec)  # DomainError for grid-defined specs
+    f = as_callable(spec)  # DomainError for grid-defined specs
     # every N, and (k, m) at every N, is refused before any N is sampled
     counts = [_nonempty_count(_check_sample_count(n), k, m) for n in grid]
     rows = []
     for n, q in zip(grid, counts):
-        x = sample(spec, n).values
         left, right = m - 1, m - 1 + q * k
-        parts = [x[left : right + 1 : k]]
-        v_nkm = _partition_sum(parts[0])
+        j = [np.arange(left, right + 1, k, dtype=float)]
         if left > 0:
-            parts.insert(0, x[:1])
+            j.insert(0, [0.0])
         if right < n - 1:
-            parts.append(x[-1:])
-        v_pn = _partition_sum(np.concatenate(parts))
-        e_n = abs(float(x[0]) - float(x[left])) + abs(float(x[n - 1]) - float(x[right]))
+            j.append([n - 1.0])
+        x = np.asarray(f(np.concatenate(j) / (n - 1)), dtype=float)
+        a = int(left > 0)  # x[a : a + q + 1] are the subseries' values
+        v_nkm = _partition_sum(x[a : a + q + 1])
+        v_pn = _partition_sum(x)
+        e_n = abs(float(x[0]) - float(x[a])) + abs(float(x[-1]) - float(x[a + q]))
         rows.append(ConvergenceRow(n, v_nkm, v_pn, e_n))
     return rows

@@ -683,7 +683,8 @@ class TestBadInput:
     @pytest.mark.parametrize("case", sorted(REFUSED_BEFORE_READING))
     def test_refused_before_the_series_is_read(self, case, monkeypatch, capsys):
         read = []
-        for target in ("fracdim.cli.sample", "fracdim.cli.read_csv", "fracdim.variation.sample"):
+        for target in ("fracdim.cli.sample", "fracdim.cli.read_csv", "fracdim.signals.eval_weierstrass",
+                       "fracdim.signals.eval_oscillation"):
             monkeypatch.setattr(target, lambda *args, target=target: read.append(target))
         call, message = REFUSED_BEFORE_READING[case]
         tracemalloc.start()

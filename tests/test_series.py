@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,39 @@ from fracdim import (
 from fracdim.errors import AdmissibilityError
 from fracdim.series import from_csv_text, read_csv, to_csv_text, write_csv
 from fracdim.signals import eval_weierstrass
+
+
+ODD_FILES = {
+    "plain": "j,t,x\n1,0,1\n2,0.5,2\n3,1,3\n",
+    "no_final_newline": "j,t,x\n1,0,1\n2,1,3",
+    "crlf": "j,t,x\r\n1,0,1\r\n2,1,3\r\n",
+    "lone_cr": "j,t,x\r1,0,1\r2,1,3\r",
+    "blank_and_trailing_blank_lines": "j,t,x\n\n1,0,1\n\r\n2,1,3\n\n\n",
+    "header_with_spaces": " j , t ,x \n1,0,1\n2,1,3\n",
+    "cells_with_spaces": "j,t,x\n 1, 0 ,1\t\n2,1, 3\n",
+    "form_feed_ends_a_row": "j,t,x\n1,0,1\x0c\n2,1,3\n",
+    "form_feed_inside_a_row": "j,t,x\n1,0\x0c,1\n2,1,3\n",
+    "file_separator_ends_a_row": "j,t,x\n1,0,1\x1c2,1,3\n",
+    "file_separator_inside_a_row": "j,t,x\n1,0\x1c,1\n2,1,3\n",
+    "file_separator_in_header": "j\x1c,t,x\n1,0,1\n2,1,3\n",
+    "vertical_tab_inside_a_row": "j,t,x\n1,0,1\x0b2,1,3\n",
+    "next_line_inside_a_row": "j,t,x\n1,0\x85,1\n2,1,3\n",
+    "line_separator_ends_a_row": "j,t,x\n1,0,1\u2028\n2,1,3\n",
+    "whitespace_line": "j,t,x\n1,0,1\n  \n2,1,3\n",
+    "quoted_numbers": 'j,t,x\n"1",0,1\n2,1,3\n',
+    "underscore_digits": "j,t,x\n1,0,1_0\n2,1,0\n",
+    "extra_column": "j,t,x\n1,0,1,9\n2,1,3,9\n",
+    "missing_column": "j,t,x\n1,0,1\n2,1\n",
+    "shuffled_j": "j,t,x\n2,1,3\n1,0,1\n",
+    "off_grid_t": "j,t,x\n1,0,1\n2,0.5,3\n",
+    "nan_t": "j,t,x\n1,0,1\n2,nan,3\n",
+    "infinite_x": "j,t,x\n1,0,1\n2,1,inf\n",
+    "wrong_header": "a,b,c\n1,0,1\n2,1,3\n",
+    "header_only": "j,t,x\n",
+    "header_and_blank_lines": "j,t,x\n\n\r\n",
+    "one_row": "j,t,x\n1,0,1\n",
+    "empty": "",
+}
 
 
 def csv_writer_text(ts):
@@ -217,6 +251,36 @@ class TestCsv:
     def test_extra_column_rejected(self):
         with pytest.raises(DomainError, match="line 2"):
             from_csv_text("j,t,x\n1,0,1,9\n2,1,3,9\n")
+
+    @pytest.mark.parametrize("name", sorted(ODD_FILES))
+    def test_file_reads_as_its_text(self, name, tmp_path):
+        # oracle: from_csv_text on the whole text of the file
+        text = ODD_FILES[name]
+        path = tmp_path / "series.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            expected = from_csv_text(text)
+        except (DomainError, AdmissibilityError) as exc:
+            with pytest.raises(type(exc)) as excinfo:
+                read_csv(path)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert read_csv(path).values.tobytes() == expected.values.tobytes()
+
+    def test_read_memory_does_not_grow_with_the_text(self, tmp_path):
+        # the whole text and its list of lines peaked at 19.5 MiB
+        ts = sample(Weierstrass(5.0, 1.7), 10**5)
+        path = tmp_path / "series.csv"
+        write_csv(ts, path)
+        tracemalloc.start()
+        try:
+            out = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.values, ts.values)
+        assert peak < 6e6, peak
 
     def test_large_round_trip_is_exact(self):
         rng = np.random.default_rng(12)

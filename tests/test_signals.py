@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -48,6 +49,43 @@ class TestWeierstrass:
             expected = np.sum(np.sin(np.multiply.outer(t, lam**j)) * weights, axis=-1)
             assert np.array_equal(eval_weierstrass(t, lam, s), expected), n
             assert eval_weierstrass(t[0], lam, s) == expected[0]
+
+    @pytest.mark.parametrize("s", [1.1, 1.5, 1.7, 1.9])
+    @pytest.mark.parametrize("lam", [1.0125, 1.05, 2.5, 4.8, 5.0, 7.0])
+    def test_chunked_sum_equals_one_table_bytes(self, lam, s):
+        # oracle: the sum built in one points x terms table, as it first was
+        def one_table(t):
+            arr = np.asarray(t, dtype=float)
+            j = np.arange(1, weierstrass_term_count(lam, s) + 1, dtype=float)
+            terms = np.multiply.outer(arr, lam**j)
+            np.sin(terms, out=terms)
+            terms *= lam ** ((s - 2.0) * j)
+            return np.sum(terms, axis=-1)
+
+        chunk = max(1, signals._CHUNK_ENTRIES // weierstrass_term_count(lam, s))
+        # a box-count block of columns x 33 samples that spans three chunks
+        cols = 3 * chunk // 33 + 1
+        lo = np.arange(cols) / cols
+        box = (1.0 / cols) * (np.arange(33) / 32)[None, :] + lo[:, None]
+        rng = np.random.default_rng(int(lam * 100 + s * 10))
+        cases = [np.arange(n) / (n - 1) for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1)]
+        cases += [box, rng.uniform(0.0, 1.0, 2 * chunk + 5), np.float64(0.3)]
+        for t in cases:
+            out = eval_weierstrass(t, lam, s)
+            assert np.shape(out) == np.shape(t)
+            assert np.asarray(out).tobytes() == one_table(t).tobytes(), np.shape(t)
+        assert isinstance(eval_weierstrass(0.3, lam, s), float)
+
+    def test_sample_memory_does_not_grow_with_the_terms_table(self):
+        # one points x terms table at N = 1e5 held 17.6 MB of terms
+        w = Weierstrass(5.0, 1.7)
+        tracemalloc.start()
+        try:
+            sample(w, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     @pytest.mark.parametrize(
         "lam,s", [(5.0, 1.7), (4.8, 1.7), (5.0, 1.5), (4.8, 1.5), (7.0, 1.6), (2.5, 1.3), (2.0, 1.01), (5.0, 1.01)]

@@ -232,6 +232,33 @@ class TestConvergenceCheck:
         with pytest.raises(DomainError):
             variation_convergence_check(Affine(1.0, 0.0), 2, 1, (100, 100))
 
+    def test_plain_callable_gives_rows(self):
+        rows = variation_convergence_check(lambda t: t * t, 2, 1, [10, 20])
+        assert [row.n for row in rows] == [10, 20]
+        # t**2 is increasing, so its partition sum is f(1) - f(0)
+        assert all(abs(row.v_pn - 1.0) < 1e-15 for row in rows)
+        spec = Affine(4.0, 1.0)
+        for k, m, grid in ((2, 1, (10, 100, 1000)), (3, 2, (50, 501)), (7, 5, (707,))):
+            assert variation_convergence_check(lambda t: spec.evaluate(t), k, m, grid) == (
+                variation_convergence_check(spec, k, m, grid)
+            )
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (3, 2), (3, 3), (7, 5)])
+    def test_signal_evaluated_at_the_partition_points_only(self, k, m):
+        grid = (50, 101, 1000)
+        seen = []
+
+        def spy(t):
+            seen.append(np.array(t, copy=True))
+            return np.sin(20.0 * t)
+
+        variation_convergence_check(spy, k, m, grid)
+        assert len(seen) == len(grid)
+        for n, points in zip(grid, seen):
+            assert points.tobytes() == higuchi_partition(n, k, m).points.tobytes()
+            # a k-stride row evaluates about 1/k of the grid
+            assert points.size <= (n - 1) // k + 3
+
     def test_csv_format(self, capsys):
         argv = [
             "tv", "--signal", '{"kind": "affine", "a": 1.0, "b": 0.0}',
