@@ -27,7 +27,7 @@ from .geometry import (
     DEFAULT_SAMPLES_PER_COLUMN,
     box_dim_estimate,
 )
-from .higuchi import _check_admissible, ceil_half, hfd
+from .higuchi import _check_admissible, _check_detail_rows, ceil_half, hfd
 from .series import TimeSeries, _check_bumped, _check_index, _check_sample_count, read_csv, sample, to_csv_text
 from .signals import (
     Affine,
@@ -116,10 +116,10 @@ def _emit(args, header, rows, payload=None) -> None:
     _write_output(text, args.out)
 
 
-def _load_series(args, index=None, eps=None) -> TimeSeries:
+def _load_series(args, index=None, eps=None, detail=False) -> TimeSeries:
     """The series of --input, or of --signal sampled at --n.  Before a signal
-    is sampled, --kmax and a bump ``index`` are checked against --n, in that
-    order, and then a bump size ``eps``."""
+    is sampled, --kmax, the rows of a ``detail`` table and a bump ``index``
+    are checked against --n, in that order, and then a bump size ``eps``."""
     if args.input:
         if args.signal is not None:
             raise DomainError("pass either --signal or --input, not both")
@@ -132,6 +132,8 @@ def _load_series(args, index=None, eps=None) -> TimeSeries:
     n = _check_sample_count(args.n)
     if args.kmax is not None:
         _check_admissible(n, args.kmax)
+    if detail:
+        _check_detail_rows(n, _kmax(args, n))
     if index is not None:
         _check_index(n, index)
     if eps is not None:
@@ -168,7 +170,7 @@ def cmd_hfd(args) -> int:
     if args.detail and args.format == "csv":
         raise DomainError("the per-(k, m) detail has only a JSON form: pass --format json, or drop --detail")
     _check_kmax_options(args)
-    ts = _load_series(args)
+    ts = _load_series(args, detail=args.detail)
     result = hfd(ts, _kmax(args, ts.n), detail=args.detail)
     payload = result.to_dict()
     if args.detail:
@@ -230,27 +232,17 @@ def cmd_stability(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = parse_signal(args.signal)
-    if args.n_grid:
-        grid = sorted(set(args.n_grid))
-    else:
-        if args.n_min is None or args.n_max is None:
-            raise DomainError("pass --n-grid or both --n-min and --n-max")
-        if args.n_step == 0:
-            raise DomainError("--n-step must not be 0")
-        # --n-max is included whichever way the steps go
-        grid = range(args.n_min, args.n_max + (1 if args.n_step > 0 else -1), args.n_step)
-        if not grid:
-            raise DomainError(
-                f"no N from --n-min {args.n_min} to --n-max {args.n_max} in steps of {args.n_step}"
-            )
-    # both ends of the grid, its extremes (the larger first), and a fixed
-    # --kmax at every N are refused before any N is sampled
-    for n in sorted((grid[0], grid[-1]), reverse=True):
+    grid = sorted(set(args.n_grid))
+    if not grid:
+        raise DomainError("--n-grid holds no N")
+    # the grid's extremes (the larger first), which bound every N, and a
+    # fixed --kmax at every N are refused before any N is sampled
+    for n in (grid[-1], grid[0]):
         _check_sample_count(n)
     _check_kmax_options(args)
     if args.kmax is not None:
         for n in grid:
-            _check_admissible(_check_sample_count(n), args.kmax)
+            _check_admissible(n, args.kmax)
     rows = [(n, hfd(sample(spec, n), _kmax(args, n)).slope) for n in grid]
     _emit(args, ("N", "D"), rows)
     return 0
@@ -348,12 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_output(p, "json")
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("sweep", help="dimension estimates over a range of sample counts")
+    p = sub.add_parser("sweep", help="dimension estimates over a grid of sample counts")
     p.add_argument("--signal", required=True)
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--n-step", type=int, default=1)
-    p.add_argument("--n-grid", type=_INT_LIST, help="comma-separated N values")
+    p.add_argument("--n-grid", type=_INT_LIST, required=True, help="comma-separated N values")
     _add_kmax(p)
     _add_common_output(p, "csv")
     p.set_defaults(func=cmd_sweep)

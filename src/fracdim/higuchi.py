@@ -48,7 +48,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateRegressionError, DomainError, EmptySubseriesError
-from .series import TimeSeries, _check_index, _integer, perturb
+from .series import _EVAL_LIMIT, TimeSeries, _check_index, _integer, perturb
 
 # Most (k, m) cells whose bookkeeping _stride_averages does in one go; 2**14
 # was as fast but raised paper_scale's peak RSS by up to 9% (2**12: 1%).
@@ -67,6 +67,18 @@ def _check_admissible(n: int, k_max) -> int:
     if not 1 <= k_max <= ceil_half(n):
         raise AdmissibilityError(f"need 1 <= k_max <= ceil(n/2) = {ceil_half(n)}, got k_max={k_max}")
     return k_max
+
+
+def _check_detail_rows(n: int, k_max) -> None:
+    """After :func:`_check_admissible`, DomainError if the per-(k, m) table of
+    ``hfd(..., detail=True)``, five numbers a row, would hold more than
+    ``_EVAL_LIMIT`` numbers.  Stride k has min(k, n - k) rows: k up to
+    n // 2, and n - k at the one stride k = ceil(n/2) of an odd n."""
+    k_max = _check_admissible(n, k_max)
+    half = min(k_max, n // 2)
+    rows = half * (half + 1) // 2 + (k_max - half) * (n - k_max)
+    if 5 * rows > _EVAL_LIMIT:
+        raise DomainError(f"a detail table of {rows} (k, m) rows is too large: need at most {_EVAL_LIMIT // 5}")
 
 
 def _check_stride_offset(n, k, m) -> Tuple[int, int, int]:
@@ -343,8 +355,11 @@ def hfd(ts: TimeSeries, k_max: int, detail: bool = False) -> HfdResult:
     k_max : int
         Largest stride; (len(ts), k_max) must be admissible.
     detail : bool
-        Keep the per-(k, m) table of constants, increment sums and lengths.
+        Keep the per-(k, m) table of constants, increment sums and lengths;
+        a table of more than 10M rows (50M numbers) raises DomainError.
     """
+    if detail:
+        _check_detail_rows(ts.n, k_max)
     rows = [] if detail else None
     lengths = _stride_averages(ts, k_max, _length_terms, "length", rows)
     return _hfd_result(ts.n, lengths, tuple(rows) if detail else None)

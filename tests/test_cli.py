@@ -4,6 +4,8 @@ import importlib
 import io
 import json
 import math
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -32,7 +34,7 @@ from fracdim import (
     total_variation_estimate,
     variation_convergence_check,
 )
-from fracdim.cli import _emit, main, parse_signal
+from fracdim.cli import _emit, build_parser, main, parse_signal
 from fracdim.errors import DomainError, FracdimError
 from fracdim.signals import Weierstrass, spec_from_dict, spec_to_dict
 from fracdim.stability import DEMO_ALTERNATING
@@ -268,24 +270,6 @@ class TestSweep:
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "100"
 
-    def test_range_sweep_ordered(self, tmp_path):
-        out = tmp_path / "sw.csv"
-        run_cli(
-            "sweep", "--signal", "oscillation", "--n-min", "20", "--n-max", "60",
-            "--n-step", "10", "--kmax", "2", "--out", str(out),
-        )
-        lines = out.read_text().splitlines()[1:]
-        assert [int(line.split(",")[0]) for line in lines] == [20, 30, 40, 50, 60]
-
-    def test_descending_range_sweep_includes_n_max(self, tmp_path):
-        out = tmp_path / "sw.csv"
-        run_cli(
-            "sweep", "--signal", "oscillation", "--n-min", "60", "--n-max", "20",
-            "--n-step", "-10", "--kmax", "2", "--out", str(out),
-        )
-        lines = out.read_text().splitlines()[1:]
-        assert [int(line.split(",")[0]) for line in lines] == [60, 50, 40, 30, 20]
-
     def test_half_rule_sweep(self, tmp_path):
         out = tmp_path / "sw.json"
         run_cli(
@@ -296,17 +280,9 @@ class TestSweep:
         expected = hfd(sample(Weierstrass(5.0, 1.7), 80), 40).slope
         assert payload[1] == {"N": 80, "D": expected}
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            ["--n-grid", f"100,{10**18}"],
-            ["--n-min", "2", "--n-max", str(10**18)],
-            ["--n-min", str(10**18), "--n-max", "2", "--n-step", "-1"],
-        ],
-    )
+    @pytest.mark.parametrize("grid", [["--n-grid", f"100,{10**18}"]])
     def test_largest_n_refused_before_sampling(self, grid, monkeypatch, capsys):
-        # a range is never built as a list, and no N is sampled when the
-        # largest is beyond the 50M-sample limit
+        # no N is sampled when the largest is beyond the 50M-sample limit
         sampled = []
         monkeypatch.setattr("fracdim.cli.sample", lambda spec, n: sampled.append(n))
         assert run_cli("sweep", "--signal", "oscillation", *grid, "--kmax", "1") == 2
@@ -370,7 +346,8 @@ OUTPUT_CASES = {
         lambda: _trace_rows(Weierstrass(5.0, 1.7)),
     ),
     "sweep": (
-        ["sweep", "--signal", "oscillation", "--n-grid", "40,80", "--kmax-rule", "half"],
+        # the grid is sorted and its duplicates dropped
+        ["sweep", "--signal", "oscillation", "--n-grid", "80,40,80", "--kmax-rule", "half"],
         lambda: [(n, hfd(sample(Oscillation(20.0), n), n // 2).slope) for n in (40, 80)],
     ),
 }
@@ -510,14 +487,7 @@ BAD_INPUTS = {
     "sweep_grid_not_int": (
         ["sweep", "--signal", "oscillation", "--n-grid", "10,b", "--kmax", "3"], "comma-separated integers"
     ),
-    "sweep_zero_step": (
-        ["sweep", "--signal", "oscillation", "--n-min", "10", "--n-max", "20", "--n-step", "0", "--kmax", "3"],
-        "--n-step must not be 0",
-    ),
-    "sweep_empty_range": (
-        ["sweep", "--signal", "oscillation", "--n-min", "6", "--n-max", "10", "--n-step", "-2", "--kmax", "3"],
-        "no N from --n-min 6 to --n-max 10",
-    ),
+    "sweep_empty_grid": (["sweep", "--signal", "oscillation", "--n-grid", "", "--kmax", "3"], "--n-grid holds no N"),
     "n_beyond_array_size": (["gen", "--signal", "constant", "--n", str(10**20)], "at most"),
     "n_beyond_eval_limit": (["gen", "--signal", "constant", "--n", str(10**17)], "need at most 50000000 samples"),
     "tv_levels_beyond_eval_limit": (["tv", "--signal", "oscillation", "--levels", "21"], "need at most 20 levels"),
@@ -525,7 +495,7 @@ BAD_INPUTS = {
         ["boxdim", "--signal", "oscillation", "--levels", str(10**18)], "need at most 50000000 levels"
     ),
     "sweep_n_beyond_eval_limit": (
-        ["sweep", "--signal", "oscillation", "--n-min", "2", "--n-max", str(10**18), "--kmax", "1"],
+        ["sweep", "--signal", "oscillation", "--n-grid", f"2,{10**18}", "--kmax", "1"],
         "need at most 50000000 samples",
     ),
     "mesh_inverse_overflows": (
@@ -537,7 +507,9 @@ BAD_INPUTS = {
     ),
     "hfd_without_series": (["hfd", "--kmax", "2"], "pass either --signal or --input"),
     "hfd_signal_without_n": (["hfd", "--signal", "oscillation", "--kmax", "2"], "--signal needs --n"),
-    "sweep_without_grid": (["sweep", "--signal", "oscillation", "--kmax", "2"], "pass --n-grid or both"),
+    "sweep_without_grid": (
+        ["sweep", "--signal", "oscillation", "--kmax", "2"], "the following arguments are required: --n-grid"
+    ),
     # float() reads 1_0 as 10, a CSV reader would not
     "csv_underscore_digits": (["hfd", "--input", UNDERSCORE_CSV, "--kmax", "1"], "not a plain decimal number"),
 }
@@ -625,8 +597,7 @@ REFUSED_BEFORE_READING = {
         "need 1 <= k_max <= ceil(n/2) = 1000000, got k_max=1500000",
     ),
     "sweep_kmax_beyond_half_a_later_n": (
-        ["sweep", "--signal", "weierstrass", "--n-min", "2000000", "--n-max", "10", "--n-step", "-1999990",
-         "--kmax", "6"],
+        ["sweep", "--signal", "weierstrass", "--n-grid", "10,2000000", "--kmax", "6"],
         "need 1 <= k_max <= ceil(n/2) = 5, got k_max=6",
     ),
     "box_dim_one_sample_per_column": (
@@ -671,10 +642,13 @@ REFUSED_BEFORE_READING = {
     "stability_report_non_finite_bump": (
         lambda: stability_report(ZEROS_1M, 64, 1, math.inf), "the bumped value X(1) + inf is not finite"
     ),
-    "sweep_descending_to_one_sample": (
-        ["sweep", "--signal", "oscillation", "--n-min", "20000", "--n-max", "1", "--n-step", "-19999",
-         "--kmax-rule", "half"],
+    "sweep_grid_below_two_samples": (
+        ["sweep", "--signal", "oscillation", "--n-grid", "20000,1", "--kmax-rule", "half"],
         "need at least 2 samples, got n=1",
+    ),
+    "hfd_detail_beyond_row_limit": (
+        ["hfd", *W_2M, "--kmax", "1000000", "--detail"],
+        "a detail table of 500000500000 (k, m) rows is too large: need at most 10000000",
     ),
 }
 
@@ -782,6 +756,20 @@ class TestVerifyCommand:
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
+
+
+def _readme_commands():
+    """The argv of every ``fracdim`` line in README's sh blocks, backslash
+    continuations joined and comments dropped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("fracdim ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    build_parser().parse_args(argv[1:])
 
 
 class TestMainModuleRunner:

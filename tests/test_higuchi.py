@@ -325,6 +325,18 @@ class TestHfd:
             assert 1 <= row.m <= row.k <= 4
         assert hfd(ts, 4).detail is None
 
+    @pytest.mark.parametrize("n,k_max", [(2, 1), (9, 5), (10, 5), (11, 4), (11, 6), (40, 20)])
+    def test_detail_row_limit_counts_the_table(self, n, k_max, monkeypatch):
+        # five numbers a row: a limit of exactly five per row passes, one number less is refused
+        ts = TimeSeries(np.arange(n, dtype=float))
+        rows = len(hfd(ts, k_max, detail=True).detail)
+        monkeypatch.setattr("fracdim.higuchi._EVAL_LIMIT", 5 * rows)
+        assert len(hfd(ts, k_max, detail=True).detail) == rows
+        monkeypatch.setattr("fracdim.higuchi._EVAL_LIMIT", 5 * rows - 1)
+        with pytest.raises(DomainError, match=f"a detail table of {rows} \\(k, m\\) rows is too large"):
+            hfd(ts, k_max, detail=True)
+        assert hfd(ts, k_max).detail is None  # no table, no limit
+
     def test_json_shape(self, capsys):
         argv = ["hfd", "--signal", ALTERNATING_01, "--n", "10", "--kmax", "5", "--format", "json"]
         assert main(argv) == 0
