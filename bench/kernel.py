@@ -14,12 +14,15 @@ at N = 1e5, the box-count layer as `box_dim_estimate(Oscillation(20),
 delta_min)` at delta_min = 1e-3 and 5e-5 (a finest mesh of 20 001 columns x
 33 samples) and the variation layer as `total_variation_estimate(
 Weierstrass(5, 1.7), levels)` at 6 and 12 levels (65 536 midpoints at the
-last), and the CSV I/O layer as `read_csv` of a `Weierstrass(5, 1.7)`
-series at N = 1e5, which each tree writes with its own `write_csv` into a
-temporary directory.  For these four ops one extra call of each tree
-outside the timed rounds records its tracemalloc peak: the memory of a
-sample's terms chunks, of the mesh blocks of a box count or a trace, and
-of a parsed CSV file.
+last), the CSV I/O layer as `write_csv` and `read_csv` of a
+`Weierstrass(5, 1.7)` series at N = 1e5, each tree writing its own files
+into a temporary directory, and the large JSON output as `hfd --detail`
+through each tree's `cli.main` on Weierstrass at N = 200 and 1000 with
+k_max = N/2 (5050 and 125 250 (k, m) rows) into a file.  For these six ops
+one extra call of each tree outside the timed rounds records its
+tracemalloc peak: the memory of a sample's terms chunks, of the mesh blocks
+of a box count or a trace, of a CSV file's text or parse, and of a detail
+table and its JSON text.
 
     python bench/kernel.py --against ../parent/src
 
@@ -40,7 +43,7 @@ the first: up to 2-4% on a 2-CPU VM); size it with an A/A run,
 `--against src`, and read a ratio only against that spread.
 
 `--quick` runs the smallest sizes once, to check that the script still runs;
-the one `read_csv` size is part of it.
+the one CSV size and the smaller detail size are part of it.
 """
 from __future__ import annotations
 
@@ -63,7 +66,8 @@ SAMPLE_SIZES = (100_000,)
 BOX_DELTA_MINS = (1e-3, 5e-5)
 TV_LEVELS = (6, 12)
 CSV_SIZES = (100_000,)
-PEAK_OPS = ("sample", "box_dim_estimate", "total_variation_estimate", "read_csv")
+DETAIL_SIZES = ((200, 100), (1000, 500))
+PEAK_OPS = ("sample", "box_dim_estimate", "total_variation_estimate", "write_csv", "read_csv", "hfd --detail")
 INPUT_KEYS = ("n", "k_max", "signal", "delta_min", "levels")
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 REPORT_EPS = 1e-10
@@ -80,7 +84,8 @@ def commit_of(src: str) -> str:
     return out.stdout.strip()
 
 
-def cases(pkg, workdir, sizes, longs, trace_sizes, sample_sizes, box_delta_mins, tv_levels, csv_sizes):
+def cases(pkg, workdir, sizes, longs, trace_sizes, sample_sizes, box_delta_mins, tv_levels, csv_sizes,
+          detail_sizes):
     """(row, call) for every timed op, its inputs built from the package ``pkg``;
     its CSV files go under ``workdir``."""
     import numpy as np
@@ -118,8 +123,16 @@ def cases(pkg, workdir, sizes, longs, trace_sizes, sample_sizes, box_delta_mins,
                     lambda levels=levels: pkg.total_variation_estimate(spec, levels)))
     for n in csv_sizes:
         path = tempfile.mkstemp(suffix=".csv", dir=workdir)[1]
-        pkg.write_csv(pkg.sample(spec, n), path)
+        ts = pkg.sample(spec, n)
+        out.append(({"op": "write_csv", "signal": "weierstrass(5, 1.7)", "n": n},
+                    lambda ts=ts, path=path: pkg.write_csv(ts, path)))
+        pkg.write_csv(ts, path)
         out.append(({"op": "read_csv", "signal": "weierstrass(5, 1.7)", "n": n}, lambda path=path: pkg.read_csv(path)))
+    for n, k_max in detail_sizes:
+        argv = ["hfd", "--signal", "weierstrass", "--n", str(n), "--kmax", str(k_max), "--detail",
+                "--out", tempfile.mkstemp(suffix=".json", dir=workdir)[1]]
+        out.append(({"op": "hfd --detail", "signal": "weierstrass(5, 1.7)", "n": n, "k_max": k_max},
+                    lambda argv=argv: pkg.cli.main(argv)))
     return out
 
 
@@ -179,6 +192,7 @@ def load(src: str):
     sys.path.insert(0, src)
     try:
         import fracdim
+        import fracdim.cli  # the hfd --detail rows run the command line
     finally:
         sys.path.remove(src)
     if os.path.dirname(os.path.dirname(os.path.abspath(fracdim.__file__))) != src:
@@ -200,9 +214,10 @@ def main(argv=None) -> int:
     src, against = os.path.abspath(args.src), os.path.abspath(args.against)
     pkg = load(src)
     if args.quick:
-        sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1], BOX_DELTA_MINS[:1], TV_LEVELS[:1], CSV_SIZES)
+        sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1], BOX_DELTA_MINS[:1], TV_LEVELS[:1], CSV_SIZES,
+                 DETAIL_SIZES[:1])
     else:
-        sizes = (SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES, BOX_DELTA_MINS, TV_LEVELS, CSV_SIZES)
+        sizes = (SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES, BOX_DELTA_MINS, TV_LEVELS, CSV_SIZES, DETAIL_SIZES)
     repeat = 1 if args.quick else REPEAT
     record = {
         "commit": commit_of(src),

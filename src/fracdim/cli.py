@@ -3,14 +3,16 @@ sample counts, reproduce the perturbation experiments, and verify the
 package against its frozen expectations.
 
 All commands are deterministic: the same invocation produces byte-identical
-output files.  Every CSV table and JSON payload goes through :func:`_emit`,
-the series CSV of ``gen`` and the verify report aside; it writes shortest
-round-trip floats and refuses a non-finite number before anything is
-written.
+output files.  Tables go through :func:`_emit`, and the large ones, the
+series of ``gen`` and the per-(k, m) table of ``hfd --detail``, are written
+a block of rows at a time.  Floats are written in shortest round-trip form,
+the series CSV's at 17 significant digits, and a non-finite number is
+refused before anything is written.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -28,7 +30,8 @@ from .geometry import (
     box_dim_estimate,
 )
 from .higuchi import _check_admissible, _check_detail_rows, ceil_half, hfd
-from .series import TimeSeries, _check_bumped, _check_index, _check_sample_count, read_csv, sample, to_csv_text
+from .series import (TimeSeries, _check_bumped, _check_index, _check_sample_count, _csv_blocks, _format_rows,
+                     read_csv, sample)
 from .signals import (
     Affine,
     Alternating,
@@ -79,12 +82,18 @@ def parse_signal(text: str) -> SignalSpec:
     return spec_from_dict(data)
 
 
-def _write_output(text: str, out: str | None) -> None:
+# one row of the "detail" list of hfd --detail as json.dumps(..., indent=2) writes it
+_DETAIL_ROW = '    {\n      "k": %d,\n      "m": %d,\n      "C": %r,\n      "V": %r,\n      "L_m": %r\n    }'
+
+
+def _write_output(blocks, out: str | None) -> None:
+    """Write the strings ``blocks`` one after another to the file ``out``,
+    or to stdout when ``out`` is None or ``-``."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _cell(column: str, value) -> str:
@@ -108,12 +117,27 @@ def _emit(args, header, rows, payload=None) -> None:
         lines.extend(",".join(_cell(c, v) for c, v in zip(header, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
-        try:
-            text = json.dumps([dict(zip(header, row)) for row in rows] if payload is None else payload,
-                              indent=2, allow_nan=False) + "\n"
-        except ValueError:  # allow_nan=False refuses a non-finite float
-            raise DomainError("the result holds a non-finite number, which JSON cannot represent") from None
-    _write_output(text, args.out)
+        text = _json_text([dict(zip(header, row)) for row in rows] if payload is None else payload) + "\n"
+    _write_output([text], args.out)
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2)``; DomainError for a non-finite number."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:  # allow_nan=False refuses a non-finite float
+        raise DomainError("the result holds a non-finite number, which JSON cannot represent") from None
+
+
+def _json_blocks(payload: dict, key: str, template: str, columns):
+    """The text of ``json.dumps({**payload, key: items}, indent=2)`` and a
+    newline, in blocks, where ``items``, never empty, holds the rows of
+    ``columns`` each formatted by ``template`` as ``json.dumps`` would.
+    Every number is checked before this returns, so before any is written."""
+    if not all(np.isfinite(column).all() for column in columns):
+        raise DomainError("the result holds a non-finite number, which JSON cannot represent")
+    head = _json_text({**payload, key: []})  # ends in '"key": []\n}'
+    return itertools.chain([head[:-3] + "\n"], _format_rows(template, columns, ",\n"), ["\n  ]\n}\n"])
 
 
 def _load_series(args, index=None, eps=None, detail=False) -> TimeSeries:
@@ -160,9 +184,9 @@ def cmd_gen(args) -> int:
     spec = parse_signal(args.signal)
     ts = sample(spec, args.n)
     if args.format == "csv":
-        _write_output(to_csv_text(ts), args.out)
+        _write_output(_csv_blocks(ts), args.out)
     else:
-        _emit(args, (), (), {"signal": spec_to_dict(spec), "n": ts.n, "values": [float(v) for v in ts.values]})
+        _write_output(_json_blocks({"signal": spec_to_dict(spec), "n": ts.n}, "values", "    %r", [ts.values]), args.out)
     return 0
 
 
@@ -172,13 +196,11 @@ def cmd_hfd(args) -> int:
     _check_kmax_options(args)
     ts = _load_series(args, detail=args.detail)
     result = hfd(ts, _kmax(args, ts.n), detail=args.detail)
-    payload = result.to_dict()
     if args.detail:
-        payload["detail"] = [
-            {"k": r.k, "m": r.m, "C": r.c, "V": r.v, "L_m": r.length} for r in result.detail
-        ]
+        _write_output(_json_blocks(result.to_dict(), "detail", _DETAIL_ROW, list(result.detail.values())), args.out)
+        return 0
     rows = [(k, x, y) for k, (x, y) in zip(result.index_set, result.points)]
-    _emit(args, ("k", "log_inv_k", "log_L"), rows, payload)
+    _emit(args, ("k", "log_inv_k", "log_L"), rows, result.to_dict())
     return 0
 
 
@@ -250,7 +272,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     rows = acceptance.run_claims(args.only or None)
-    _write_output(acceptance.render_report(rows), args.out)
+    _write_output([acceptance.render_report(rows)], args.out)
     return 0 if acceptance.all_passed(rows) else 1
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,16 +69,18 @@ def _check_admissible(n: int, k_max) -> int:
     return k_max
 
 
-def _check_detail_rows(n: int, k_max) -> None:
-    """After :func:`_check_admissible`, DomainError if the per-(k, m) table of
-    ``hfd(..., detail=True)``, five numbers a row, would hold more than
-    ``_EVAL_LIMIT`` numbers.  Stride k has min(k, n - k) rows: k up to
-    n // 2, and n - k at the one stride k = ceil(n/2) of an odd n."""
+def _check_detail_rows(n: int, k_max) -> int:
+    """The rows of the per-(k, m) table of ``hfd(..., detail=True)``; after
+    :func:`_check_admissible`, DomainError if the table, five numbers a row,
+    would hold more than ``_EVAL_LIMIT`` numbers.  Stride k has min(k, n - k)
+    rows: k up to n // 2, and n - k at the one stride k = ceil(n/2) of an
+    odd n."""
     k_max = _check_admissible(n, k_max)
     half = min(k_max, n // 2)
     rows = half * (half + 1) // 2 + (k_max - half) * (n - k_max)
     if 5 * rows > _EVAL_LIMIT:
         raise DomainError(f"a detail table of {rows} (k, m) rows is too large: need at most {_EVAL_LIMIT // 5}")
+    return rows
 
 
 def _check_stride_offset(n, k, m) -> Tuple[int, int, int]:
@@ -134,16 +136,6 @@ def _partition_sum(values: np.ndarray) -> float:
     if not math.isfinite(total):
         raise DomainError(f"the variation sum is {total!r}: the values overflow in floating point or are not finite")
     return total
-
-
-class DetailRow(NamedTuple):
-    """One (k, m) evaluation: normalization constant, increment sum, length."""
-
-    k: int
-    m: int
-    c: float
-    v: float
-    length: float
 
 
 def _sum_rows(d: np.ndarray) -> np.ndarray:
@@ -212,13 +204,13 @@ def _run_columns(padded: np.ndarray, a: int, b: int, f: int) -> np.ndarray:
     return _sum_rows(d)
 
 
-def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, each_block=None) -> np.ndarray:
+def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, each_block=None) -> np.ndarray:
     """Per-stride averages of ``term(k, C, V)`` over the offsets with an
-    increment, k = 1..k_max.  Per block of strides, ``term`` is applied to
-    the column of strides k and to (stride x offset) tables of C and V, zero
-    after each stride's offsets.  Each (k, m) row is appended to ``rows``,
-    when given, and ``each_block(lo, count, table of terms)`` is called on
-    each block as soon as it is built."""
+    increment, k = 1..k_max.  Per block of strides lo, lo+1, ..., ``term`` is
+    applied to the column of strides k and to (stride x offset) tables of C
+    and V, zero after each stride's ``count`` offsets, and
+    ``each_block(lo, count, C, V, terms)`` is called on the tables as soon as
+    they are built."""
     k_max = _check_admissible(ts.n, k_max)
     n = ts.n
     padded = np.concatenate([ts.values, np.full(k_max, np.nan)])
@@ -242,11 +234,7 @@ def _stride_averages(ts: TimeSeries, k_max: int, term, what: str, rows=None, eac
             t = term(ks[s, None], c, v)
             out.append(np.add.accumulate(t, axis=1)[:, -1] / count)  # each row in ascending m
             if each_block is not None:
-                each_block(lo, count, t)
-            if rows is not None:
-                k, m = np.nonzero(cell)
-                cells = (k + lo, m + 1, c[cell], v[cell], t[cell])
-                rows.extend(map(DetailRow._make, zip(*(x.tolist() for x in cells))))
+                each_block(lo, count, c, v, t)
     return _finite(np.concatenate(out), what)
 
 
@@ -322,7 +310,8 @@ def fit_lengths(lengths) -> Tuple[float, Optional[float], Tuple[int, ...], np.nd
 @dataclass(frozen=True)
 class HfdResult:
     """Output of the estimator: lengths, usable strides, log-log points,
-    regression slope (the dimension) and intercept."""
+    regression slope (the dimension), intercept and, from
+    ``hfd(..., detail=True)``, the per-(k, m) columns."""
 
     n: int
     k_max: int
@@ -331,7 +320,7 @@ class HfdResult:
     points: np.ndarray
     slope: float
     intercept: Optional[float]
-    detail: Optional[Tuple[DetailRow, ...]] = None
+    detail: Optional[Dict[str, np.ndarray]] = None
 
     def to_dict(self) -> dict:
         return {
@@ -355,14 +344,27 @@ def hfd(ts: TimeSeries, k_max: int, detail: bool = False) -> HfdResult:
     k_max : int
         Largest stride; (len(ts), k_max) must be admissible.
     detail : bool
-        Keep the per-(k, m) table of constants, increment sums and lengths;
-        a table of more than 10M rows (50M numbers) raises DomainError.
+        Keep the per-(k, m) table as ``result.detail``, five columns in
+        ascending (k, m) over the offsets with an increment: "k" and "m"
+        (integers), "C" (normalization constants), "V" (increment sums) and
+        "L_m" (lengths); a table of more than 10M rows (50M numbers) raises
+        DomainError.
     """
-    if detail:
-        _check_detail_rows(ts.n, k_max)
-    rows = [] if detail else None
-    lengths = _stride_averages(ts, k_max, _length_terms, "length", rows)
-    return _hfd_result(ts.n, lengths, tuple(rows) if detail else None)
+    if not detail:
+        return _hfd_result(ts.n, _stride_averages(ts, k_max, _length_terms, "length"))
+    rows = _check_detail_rows(ts.n, k_max)
+    columns = {"k": np.empty(rows, int), "m": np.empty(rows, int),
+               "C": np.empty(rows), "V": np.empty(rows), "L_m": np.empty(rows)}
+
+    def keep(lo, count, c, v, t):
+        cell = np.arange(t.shape[1]) < count[:, None]
+        k, m = np.nonzero(cell)
+        start = lo * (lo - 1) // 2  # every stride k < lo <= ceil(n/2) has k rows
+        for column, values in zip(columns.values(), (k + lo, m + 1, c[cell], v[cell], t[cell])):
+            column[start : start + k.size] = values
+
+    lengths = _stride_averages(ts, k_max, _length_terms, "length", keep)
+    return _hfd_result(ts.n, lengths, columns)
 
 
 def _hfd_result(n: int, lengths: np.ndarray, detail=None) -> HfdResult:
@@ -416,7 +418,7 @@ def _bumped_results(ts: TimeSeries, k_max, j, eps_values) -> Tuple[HfdResult, Li
         values = None  # the last bumped series is not kept while the table is built
         means = []
 
-        def bump(lo, count, table):
+        def bump(lo, count, c, v, table):
             # ks is 1, 2, ..., less k = ceil(N/2) when its touched offset has no increment
             touched = slice(lo - 1, lo - 1 + count.size)
             table = np.repeat(table[None], len(new_terms), axis=0)  # one per eps

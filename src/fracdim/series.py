@@ -30,6 +30,10 @@ _EVAL_LIMIT = 50_000_000
 # mesh is evaluated block by block, so its points, values and column
 # extremes do not grow with the mesh.
 _BLOCK_POINTS = 2**14
+# Most rows a large output (a series CSV, a long JSON list) formats into one
+# string: it is written block by block, so its text and the Python objects
+# behind it do not grow with the table.
+_BLOCK_ROWS = 2**13
 # str.splitlines breaks lines at these as well as at \n and \r
 _OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
 
@@ -124,16 +128,32 @@ def _check_bumped(j: int, eps: float, bumped: float) -> None:
         raise DomainError(f"the bumped value X({j}) + {eps!r} is not finite")
 
 
+def _format_rows(template: str, columns, sep: str = ""):
+    """The text ``sep.join(template % row for row in rows)`` of the rows of
+    ``columns``, equal-length arrays, in strings of ``_BLOCK_ROWS`` rows."""
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = [column[lo : lo + _BLOCK_ROWS].tolist() for column in columns]
+        text = sep.join([template] * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))
+        yield sep + text if lo else text
+
+
+def _csv_blocks(ts: TimeSeries):
+    """The text of :func:`to_csv_text`: its header line, then its rows in
+    blocks of ``_BLOCK_ROWS``."""
+    yield ",".join(SERIES_CSV_HEADER) + "\n"
+    yield from _format_rows("%d,%.17g,%.17g\n", (np.arange(1, ts.n + 1), ts.grid, ts.values))
+
+
 def to_csv_text(ts: TimeSeries) -> str:
-    """Render as CSV with header ``j,t,x``; floats at 17 significant digits."""
-    rows = zip(range(1, ts.n + 1), ts.grid.tolist(), ts.values.tolist())
-    body = ("%d,%.17g,%.17g\n" * ts.n) % tuple(itertools.chain.from_iterable(rows))
-    return ",".join(SERIES_CSV_HEADER) + "\n" + body
+    """Render as CSV with header ``j,t,x``; floats at 17 significant digits.
+    The text is the join of the blocks that :func:`write_csv` writes."""
+    return "".join(_csv_blocks(ts))
 
 
 def write_csv(ts: TimeSeries, path) -> None:
+    """Write :func:`to_csv_text` to ``path`` a block of rows at a time."""
     with open(path, "w", newline="") as fh:
-        fh.write(to_csv_text(ts))
+        fh.writelines(_csv_blocks(ts))
 
 
 def from_csv_text(text: str) -> TimeSeries:
@@ -196,16 +216,16 @@ def _off_grid(j: np.ndarray, t: np.ndarray, n: int):
 def read_csv(path) -> TimeSeries:
     """:func:`from_csv_text` of the file's text.
 
-    A file of plain ASCII lines whose rows all pass is parsed as it is
-    read, with no copy of its text; its lines are then the lines that
+    A file of plain ASCII lines whose rows all pass is parsed by one
+    ``np.loadtxt`` given its path, which reads the file in chunks with no
+    copy of its text; its lines are then the lines that
     :func:`from_csv_text` splits.  Any other file is read whole and handed
     to :func:`from_csv_text`, which names its fault.
     """
-    with open(path, "r", newline="") as fh:
-        try:
-            table = _plain_table(fh)
-        except ValueError:  # bytes that are not text, or a row numpy cannot parse
-            table = None
+    try:
+        table = _plain_table(path)
+    except ValueError:  # bytes that are not ASCII, or a row numpy cannot parse
+        table = None
     # sample_grid's range: from_csv_text names the fault of any other length
     if table is not None and table.shape[1:] == (3,) and 2 <= len(table) <= _EVAL_LIMIT:
         j, t, x = table.T
@@ -219,17 +239,17 @@ def read_csv(path) -> TimeSeries:
     return from_csv_text(text)
 
 
-def _plain_table(fh):
-    """The rows of an open ``j,t,x`` file, parsed by one ``np.loadtxt`` as
-    the file is read; None for a file with a character other than ASCII or
-    one of ``_OTHER_LINE_BREAKS``, another header, or no row."""
-    for chunk in iter(lambda: fh.read(2**16), ""):
-        if not chunk.isascii() or any(c in chunk for c in _OTHER_LINE_BREAKS):
+def _plain_table(path):
+    """The rows of a ``j,t,x`` file, parsed by ``np.loadtxt`` from its path;
+    None for a file with a character that is one of ``_OTHER_LINE_BREAKS``,
+    another header, or no row.  A character other than ASCII raises
+    UnicodeDecodeError."""
+    with open(path, "r", encoding="ascii") as fh:
+        for chunk in iter(lambda: fh.read(2**16), ""):
+            if any(c in chunk for c in _OTHER_LINE_BREAKS):
+                return None
+        fh.seek(0)
+        # the header, then a row past blank lines: numpy warns on no rows
+        if _header(fh.readline()) != SERIES_CSV_HEADER or not any(line.rstrip("\r\n") for line in fh):
             return None
-    fh.seek(0)
-    if _header(fh.readline()) != SERIES_CSV_HEADER:
-        return None
-    for line in fh:  # the first row, past blank lines: numpy warns on no rows
-        if line.rstrip("\r\n"):
-            return np.loadtxt(itertools.chain((line,), fh), delimiter=",", comments=None, ndmin=2)
-    return None
+    return np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="ascii")

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import importlib
 import io
+import itertools
 import json
 import math
 import re
@@ -34,8 +35,9 @@ from fracdim import (
     total_variation_estimate,
     variation_convergence_check,
 )
-from fracdim.cli import _emit, build_parser, main, parse_signal
+from fracdim.cli import _emit, _json_blocks, _write_output, build_parser, main, parse_signal
 from fracdim.errors import DomainError, FracdimError
+from fracdim.series import _BLOCK_ROWS
 from fracdim.signals import Weierstrass, spec_from_dict, spec_to_dict
 from fracdim.stability import DEMO_ALTERNATING
 
@@ -97,6 +99,25 @@ class TestGen:
         run_cli("gen", "--signal", "oscillation", "--n", "333", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    def test_blocks_join_to_the_whole_text(self, n, fmt, tmp_path, capsys):
+        # oracle: the whole output built as one string
+        spec = Weierstrass(5.0, 1.7)
+        ts = sample(spec, n)
+        if fmt == "csv":
+            rows = zip(range(1, n + 1), ts.grid.tolist(), ts.values.tolist())
+            expected = "j,t,x\n" + ("%d,%.17g,%.17g\n" * n) % tuple(itertools.chain.from_iterable(rows))
+        else:
+            payload = {"signal": spec_to_dict(spec), "n": n, "values": [float(v) for v in ts.values]}
+            expected = json.dumps(payload, indent=2) + "\n"
+        argv = ["gen", "--signal", "weierstrass", "--n", str(n), "--format", fmt]
+        out = tmp_path / f"w.{fmt}"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == expected.encode()
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestHfd:
     def test_affine_dimension_one(self, tmp_path):
@@ -133,6 +154,19 @@ class TestHfd:
         run_cli("hfd", "--signal", "alternating", "--n", "20", "--kmax", "4", "--detail", "--out", str(out))
         payload = json.loads(out.read_text())
         assert len(payload["detail"]) == 10  # sum over k of offsets with q >= 1
+
+    @pytest.mark.parametrize("block", [1, 2, 13, 64, 65, _BLOCK_ROWS])
+    def test_detail_blocks_join_to_the_whole_text(self, block, monkeypatch, capsys):
+        # oracle: the payload with one dict per (k, m) row, dumped as one
+        # string; the table has 65 rows
+        monkeypatch.setattr("fracdim.series._BLOCK_ROWS", block)
+        result = hfd(sample(Weierstrass(5.0, 1.7), 21), 11, detail=True)
+        payload = result.to_dict()
+        payload["detail"] = [dict(zip(result.detail, row))
+                             for row in zip(*(column.tolist() for column in result.detail.values()))]
+        assert len(payload["detail"]) == 65
+        assert run_cli("hfd", "--signal", "weierstrass", "--n", "21", "--kmax", "11", "--detail") == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
     def test_detail_has_no_csv_form(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -706,6 +740,38 @@ class TestBadInput:
         with pytest.raises(DomainError, match=message):
             _emit(SimpleNamespace(format=fmt, out=str(out)), ("k", "x"), [(1, 2.0), (2, value)])
         assert not out.exists()
+
+    def test_non_finite_block_refused_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(DomainError, match="JSON cannot represent"):
+            _write_output(_json_blocks({"n": 2}, "x", "%r", [np.array([1.0, math.inf])]), str(out))
+        assert not out.exists()
+
+
+class TestLargeOutputMemory:
+    """gen and hfd --detail write their rows a block at a time, so their
+    memory does not grow with the text."""
+
+    @staticmethod
+    def peak(*argv):
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_gen_series(self, tmp_path):
+        # the whole text built at once, from a 3N-item tuple, peaks at 20.1 MB
+        peak = self.peak("gen", "--signal", "weierstrass", "--n", "100000", "--out", str(tmp_path / "w.csv"))
+        assert peak < 6e6, peak
+
+    def test_hfd_detail(self, tmp_path):
+        # 125 250 rows: a tuple and a dict per row and the whole text built at once peak at 183 MB
+        out = tmp_path / "d.json"
+        peak = self.peak("hfd", "--signal", "weierstrass", "--n", "1000", "--kmax", "500", "--detail", "--out", str(out))
+        assert peak < 15e6, peak
+        assert out.stat().st_size > 17e6
 
 
 class TestVerifyCommand:

@@ -318,20 +318,20 @@ class TestHfd:
 
     def test_detail_rows_consistent(self):
         ts = sample(Alternating(0.0, 1.0), 20)
-        result = hfd(ts, 4, detail=True)
-        assert result.detail is not None
-        for row in result.detail:
-            assert row.length == row.c * row.v / row.k
-            assert 1 <= row.m <= row.k <= 4
+        detail = hfd(ts, 4, detail=True).detail
+        assert detail is not None
+        k, m = detail["k"], detail["m"]
+        assert np.array_equal(detail["L_m"], detail["C"] * detail["V"] / k)
+        assert np.all((1 <= m) & (m <= k) & (k <= 4))
         assert hfd(ts, 4).detail is None
 
     @pytest.mark.parametrize("n,k_max", [(2, 1), (9, 5), (10, 5), (11, 4), (11, 6), (40, 20)])
     def test_detail_row_limit_counts_the_table(self, n, k_max, monkeypatch):
         # five numbers a row: a limit of exactly five per row passes, one number less is refused
         ts = TimeSeries(np.arange(n, dtype=float))
-        rows = len(hfd(ts, k_max, detail=True).detail)
+        rows = hfd(ts, k_max, detail=True).detail["k"].size
         monkeypatch.setattr("fracdim.higuchi._EVAL_LIMIT", 5 * rows)
-        assert len(hfd(ts, k_max, detail=True).detail) == rows
+        assert hfd(ts, k_max, detail=True).detail["k"].size == rows
         monkeypatch.setattr("fracdim.higuchi._EVAL_LIMIT", 5 * rows - 1)
         with pytest.raises(DomainError, match=f"a detail table of {rows} \\(k, m\\) rows is too large"):
             hfd(ts, k_max, detail=True)

@@ -42,13 +42,13 @@ from fracdim import (
 from fracdim import higuchi
 from fracdim.cli import main
 from fracdim.errors import DomainError, FracdimError
-from fracdim.higuchi import DetailRow, ceil_half
+from fracdim.higuchi import ceil_half
 from fracdim.stability import DEMO_ALTERNATING, DEMO_PERIODIC_COEFFS
 
 
 def oracle_averages(ts, k_max, term, want_detail=False):
     """Per-stride averages of ``term(k, c, v)`` over the offsets with an
-    increment, and the (k, m) rows when ``want_detail``."""
+    increment, and the (k, m, c, v, term) rows when ``want_detail``."""
     n = ts.n
     assert 1 <= k_max <= ceil_half(n)
     out = np.zeros(k_max)
@@ -63,12 +63,18 @@ def oracle_averages(ts, k_max, term, want_detail=False):
             c = (n - 1) / (q * k)
             terms.append(term(k, c, v))
             if want_detail:
-                detail.append(DetailRow(k, m, c, v, terms[-1]))
+                detail.append((k, m, c, v, terms[-1]))
         total = 0.0
         for t in terms:  # left to right: the builtin sum is compensated from Python 3.12 on
             total += t
         out[k - 1] = total / len(terms) if terms else 0.0
     return out, detail
+
+
+def detail_rows(detail):
+    """The (k, m, C, V, L_m) rows of the columns of ``hfd(..., detail=True)``."""
+    assert list(detail) == ["k", "m", "C", "V", "L_m"]
+    return list(zip(*(column.tolist() for column in detail.values())))
 
 
 def oracle_length_table(ts, k_max, want_detail):
@@ -222,11 +228,11 @@ def test_geometric_hfd_bit_equal(case):
 def test_detail_rows_bit_equal(case):
     ts, k_max, _, rows, _ = case
     got = hfd(ts, k_max, detail=True).detail
-    assert list(got) == rows
-    for row in got:
-        assert type(row.k) is int and type(row.m) is int
-        assert type(row.c) is float and type(row.v) is float and type(row.length) is float
-        assert row.v == variation_sum(ts, row.k, row.m)
+    assert detail_rows(got) == rows
+    assert got["k"].dtype.kind == got["m"].dtype.kind == "i"
+    assert got["C"].dtype == got["V"].dtype == got["L_m"].dtype == np.float64
+    for k, m, _, v, _ in detail_rows(got):
+        assert v == variation_sum(ts, k, m)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 2**16])
@@ -238,7 +244,7 @@ def test_small_blocks_bit_equal(case, cells, monkeypatch):
     ts, k_max, lengths, rows, areas = case
     assert np.array_equal(curve_lengths(ts, k_max), lengths)
     assert np.array_equal(tilde_lengths(ts, k_max), areas)
-    assert list(hfd(ts, k_max, detail=True).detail) == rows
+    assert detail_rows(hfd(ts, k_max, detail=True).detail) == rows
     assert geometric_hfd(ts, k_max) == oracle_geometric_hfd(ts, k_max)
 
 
