@@ -12,17 +12,20 @@ once per call, so the report shows that cost and the trace its per-eps
 part.  The signal-sampling layer is timed as `sample(Weierstrass(5, 1.7), N)`
 at N = 1e5, the box-count layer as `box_dim_estimate(Oscillation(20),
 delta_min)` at delta_min = 1e-3 and 5e-5 (a finest mesh of 20 001 columns x
-33 samples) and the variation layer as `total_variation_estimate(
-Weierstrass(5, 1.7), levels)` at 6 and 12 levels (65 536 midpoints at the
-last), the CSV I/O layer as `write_csv` and `read_csv` of a
+33 samples) and as `box_dim_estimate(Alternating(0.4, 0.6), n_samples=n)`
+at n = 1e4 and 1e6 (a grid-defined signal, whose spline knots are sampled),
+the variation layer as `total_variation_estimate(Weierstrass(5, 1.7),
+levels)` at 6 and 12 levels (65 536 midpoints at the last) and as
+`higuchi._partition_sum` of Gaussian noise at 131 073 and 2**20 + 1 points,
+the CSV I/O layer as `write_csv` and `read_csv` of a
 `Weierstrass(5, 1.7)` series at N = 1e5, each tree writing its own files
 into a temporary directory, and the large JSON output as `hfd --detail`
 through each tree's `cli.main` on Weierstrass at N = 200 and 1000 with
-k_max = N/2 (5050 and 125 250 (k, m) rows) into a file.  For these six ops
+k_max = N/2 (5050 and 125 250 (k, m) rows) into a file.  For these seven ops
 one extra call of each tree outside the timed rounds records its
 tracemalloc peak: the memory of a sample's terms chunks, of the mesh blocks
-of a box count or a trace, of a CSV file's text or parse, and of a detail
-table and its JSON text.
+of a box count or a trace, of a spline's knots, of a partition sum's steps,
+of a CSV file's text or parse, and of a detail table and its JSON text.
 
     python bench/kernel.py --against ../parent/src
 
@@ -43,7 +46,8 @@ the first: up to 2-4% on a 2-CPU VM); size it with an A/A run,
 `--against src`, and read a ratio only against that spread.
 
 `--quick` runs the smallest sizes once, to check that the script still runs;
-the one CSV size and the smaller detail size are part of it.
+the one CSV size, the smaller detail size, the smaller spline box count and
+the smaller partition sum are part of it.
 """
 from __future__ import annotations
 
@@ -64,11 +68,14 @@ LONGS = ((100_000, 256), (100_000, 2000))
 TRACE_SIZES = (150, 4000)
 SAMPLE_SIZES = (100_000,)
 BOX_DELTA_MINS = (1e-3, 5e-5)
+SPLINE_BOX_SAMPLES = (10**4, 10**6)
 TV_LEVELS = (6, 12)
+PARTITION_SIZES = (131_073, 2**20 + 1)
 CSV_SIZES = (100_000,)
 DETAIL_SIZES = ((200, 100), (1000, 500))
-PEAK_OPS = ("sample", "box_dim_estimate", "total_variation_estimate", "write_csv", "read_csv", "hfd --detail")
-INPUT_KEYS = ("n", "k_max", "signal", "delta_min", "levels")
+PEAK_OPS = ("sample", "box_dim_estimate", "total_variation_estimate", "_partition_sum", "write_csv", "read_csv",
+            "hfd --detail")
+INPUT_KEYS = ("n", "k_max", "signal", "delta_min", "n_samples", "levels")
 TRACE_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 REPORT_EPS = 1e-10
 REPEAT = 11
@@ -84,8 +91,8 @@ def commit_of(src: str) -> str:
     return out.stdout.strip()
 
 
-def cases(pkg, workdir, sizes, longs, trace_sizes, sample_sizes, box_delta_mins, tv_levels, csv_sizes,
-          detail_sizes):
+def cases(pkg, workdir, sizes, longs, trace_sizes, sample_sizes, box_delta_mins, spline_box_samples, tv_levels,
+          partition_sizes, csv_sizes, detail_sizes):
     """(row, call) for every timed op, its inputs built from the package ``pkg``;
     its CSV files go under ``workdir``."""
     import numpy as np
@@ -118,9 +125,17 @@ def cases(pkg, workdir, sizes, longs, trace_sizes, sample_sizes, box_delta_mins,
     for delta_min in box_delta_mins:
         out.append(({"op": "box_dim_estimate", "signal": "oscillation(20)", "delta_min": delta_min},
                     lambda d=delta_min: pkg.box_dim_estimate(oscillation, delta_min=d)))
+    alternating = pkg.Alternating(0.4, 0.6)
+    for n_samples in spline_box_samples:
+        out.append(({"op": "box_dim_estimate", "signal": "alternating(0.4, 0.6)", "n_samples": n_samples},
+                    lambda n=n_samples: pkg.box_dim_estimate(alternating, n_samples=n)))
     for levels in tv_levels:
         out.append(({"op": "total_variation_estimate", "signal": "weierstrass(5, 1.7)", "levels": levels},
                     lambda levels=levels: pkg.total_variation_estimate(spec, levels)))
+    for n in partition_sizes:
+        values = np.random.default_rng(n).normal(size=n)
+        out.append(({"op": "_partition_sum", "signal": "noise", "n": n},
+                    lambda values=values: pkg.higuchi._partition_sum(values)))
     for n in csv_sizes:
         path = tempfile.mkstemp(suffix=".csv", dir=workdir)[1]
         ts = pkg.sample(spec, n)
@@ -214,10 +229,11 @@ def main(argv=None) -> int:
     src, against = os.path.abspath(args.src), os.path.abspath(args.against)
     pkg = load(src)
     if args.quick:
-        sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1], BOX_DELTA_MINS[:1], TV_LEVELS[:1], CSV_SIZES,
-                 DETAIL_SIZES[:1])
+        sizes = (SIZES[:1], (), TRACE_SIZES[:1], SIZES[:1], BOX_DELTA_MINS[:1], SPLINE_BOX_SAMPLES[:1],
+                 TV_LEVELS[:1], PARTITION_SIZES[:1], CSV_SIZES, DETAIL_SIZES[:1])
     else:
-        sizes = (SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES, BOX_DELTA_MINS, TV_LEVELS, CSV_SIZES, DETAIL_SIZES)
+        sizes = (SIZES, LONGS, TRACE_SIZES, SAMPLE_SIZES, BOX_DELTA_MINS, SPLINE_BOX_SAMPLES, TV_LEVELS,
+                 PARTITION_SIZES, CSV_SIZES, DETAIL_SIZES)
     repeat = 1 if args.quick else REPEAT
     record = {
         "commit": commit_of(src),

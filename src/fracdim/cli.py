@@ -154,8 +154,7 @@ def _load_series(args, index=None, eps=None, detail=False) -> TimeSeries:
         raise DomainError("--signal needs --n")
     spec = parse_signal(args.signal)
     n = _check_sample_count(args.n)
-    if args.kmax is not None:
-        _check_admissible(n, args.kmax)
+    _check_admissible(n, _kmax(args, n))
     if detail:
         _check_detail_rows(n, _kmax(args, n))
     if index is not None:
@@ -166,18 +165,9 @@ def _load_series(args, index=None, eps=None, detail=False) -> TimeSeries:
     return sample(spec, n)
 
 
-def _check_kmax_options(args) -> None:
-    """Refuse --kmax with --kmax-rule half, or neither."""
-    if args.kmax_rule == "half":
-        if args.kmax is not None:
-            raise DomainError("pass either --kmax or --kmax-rule half, not both")
-    elif args.kmax is None:
-        raise DomainError("pass --kmax or use --kmax-rule half")
-
-
 def _kmax(args, n: int) -> int:
-    """k_max for n samples, from options that passed :func:`_check_kmax_options`."""
-    return ceil_half(n) if args.kmax_rule == "half" else args.kmax
+    """k_max for n samples: --kmax, where ``half`` stands for ceil(n/2)."""
+    return ceil_half(n) if args.kmax == "half" else args.kmax
 
 
 def cmd_gen(args) -> int:
@@ -193,7 +183,6 @@ def cmd_gen(args) -> int:
 def cmd_hfd(args) -> int:
     if args.detail and args.format == "csv":
         raise DomainError("the per-(k, m) detail has only a JSON form: pass --format json, or drop --detail")
-    _check_kmax_options(args)
     ts = _load_series(args, detail=args.detail)
     result = hfd(ts, _kmax(args, ts.n), detail=args.detail)
     if args.detail:
@@ -232,7 +221,6 @@ def cmd_tv(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    _check_kmax_options(args)
     if args.eps_grid:
         _check_eps_grid(args.eps_grid)
     elif args.format == "csv":
@@ -257,14 +245,11 @@ def cmd_sweep(args) -> int:
     grid = sorted(set(args.n_grid))
     if not grid:
         raise DomainError("--n-grid holds no N")
-    # the grid's extremes (the larger first), which bound every N, and a
-    # fixed --kmax at every N are refused before any N is sampled
+    # the grid's extremes (the larger first) and --kmax at every N are refused before any N is sampled
     for n in (grid[-1], grid[0]):
         _check_sample_count(n)
-    _check_kmax_options(args)
-    if args.kmax is not None:
-        for n in grid:
-            _check_admissible(n, args.kmax)
+    for n in grid:
+        _check_admissible(n, _kmax(args, n))
     rows = [(n, hfd(sample(spec, n), _kmax(args, n)).slope) for n in grid]
     _emit(args, ("N", "D"), rows)
     return 0
@@ -299,14 +284,16 @@ def _add_signal_source(parser) -> None:
     parser.add_argument("--n", type=int, help="number of samples")
 
 
+def _kmax_value(text: str):
+    """An argparse ``type`` for --kmax: an integer, or ``half``."""
+    try:
+        return text if text == "half" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'half', got {text!r}") from None
+
+
 def _add_kmax(parser) -> None:
-    parser.add_argument("--kmax", type=int, help="largest stride")
-    parser.add_argument(
-        "--kmax-rule",
-        choices=("fixed", "half"),
-        default="fixed",
-        help="'half' derives k_max = ceil(N/2) from the series length",
-    )
+    parser.add_argument("--kmax", type=_kmax_value, required=True, help="largest stride, or 'half' for ceil(N/2)")
 
 
 def _add_common_output(parser, default_format: str) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .higuchi import _loglog_fit, _stride_averages, regression_slope
 from .series import _BLOCK_POINTS, _EVAL_LIMIT, TimeSeries, _integer
-from .signals import as_callable
+from .signals import GRID_DEFINED, as_callable
 
 DEFAULT_DELTA_MIN = 1e-3
 DEFAULT_DELTA_MAX = 1e-1
@@ -147,9 +147,9 @@ def box_dim_estimate(
     # built, so whatever box_count refuses there costs no grid
     finest = box_count(spec, float(delta_min), samples_per_column, n_samples=n_samples)
     deltas = np.geomspace(delta_min, delta_max, levels)
-    counts = np.array(
-        [finest] + [box_count(spec, float(d), samples_per_column, n_samples=n_samples) for d in deltas[1:]]
-    )
+    # a grid-defined spec's spline, built once for the coarser meshes
+    f = as_callable(spec, n_samples) if isinstance(spec, GRID_DEFINED) else spec
+    counts = np.array([finest] + [box_count(f, float(d), samples_per_column) for d in deltas[1:]])
     # counts beyond 2**64 make an object array, which has no logarithm
     real_counts = counts.astype(float)
     areas = deltas * deltas * real_counts
@@ -180,6 +180,5 @@ def geometric_hfd(ts: TimeSeries, k_max: int) -> float:
     """Dimension via the area route: 2 minus the slope of log area against
     log scale.  Falls back to 1 with fewer than two nonzero areas, mirroring
     the estimator's degenerate branch."""
-    n = ts.n
-    slope = _loglog_fit(tilde_lengths(ts, k_max), lambda k: math.log(k / (n - 1)))[0]
-    return 2.0 - slope
+    areas = tilde_lengths(ts, k_max)
+    return 2.0 - _loglog_fit(areas, np.arange(1, areas.size + 1) / (ts.n - 1))[0]

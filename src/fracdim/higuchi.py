@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateRegressionError, DomainError, EmptySubseriesError
-from .series import _EVAL_LIMIT, TimeSeries, _check_index, _integer, perturb
+from .series import _BLOCK_POINTS, _EVAL_LIMIT, TimeSeries, _check_index, _integer, perturb
 
 # Most (k, m) cells whose bookkeeping _stride_averages does in one go; 2**14
 # was as fast but raised paper_scale's peak RSS by up to 9% (2**12: 1%).
@@ -127,12 +127,20 @@ def variation_sum(ts: TimeSeries, k: int, m: int) -> float:
 
 
 def _partition_sum(values: np.ndarray) -> float:
-    """Sum of |v_i - v_{i-1}|, accumulated left to right by :func:`_sum_rows`;
-    DomainError unless it is finite."""
+    """Sum of |v_i - v_{i-1}|, accumulated left to right by :func:`_sum_rows`
+    ``_BLOCK_POINTS`` steps at a time; DomainError unless it is finite.
+
+    Each block's column holds the running total above its steps: as
+    0.0 + s == s for s >= 0, the additions are those of one column."""
+    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.diff(values)
-        np.abs(steps, out=steps)
-        total = float(_sum_rows(steps[:, None])[0])
+        for a in range(0, values.size - 1, _BLOCK_POINTS):
+            block = values[a : a + _BLOCK_POINTS + 1]
+            column = np.empty((block.size, 1))
+            column[0] = total
+            np.subtract(block[1:], block[:-1], out=column[1:, 0])
+            np.abs(column, out=column)
+            total = float(_sum_rows(column)[0])
     if not math.isfinite(total):
         raise DomainError(f"the variation sum is {total!r}: the values overflow in floating point or are not finite")
     return total
@@ -263,48 +271,58 @@ def regression_slope(points) -> Tuple[float, float]:
         raise DegenerateRegressionError("need at least two (x, y) points")
     if not np.all(np.isfinite(pts)):
         raise DomainError("regression points must be finite")
-    x = pts[:, 0]
-    y = pts[:, 1]
+    return _line(pts[:, 0], pts[:, 1])
+
+
+def _line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+    """The slope and intercept of :func:`regression_slope` through the
+    finite points (x, y), given as two 1-D arrays."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = x - x.mean()
+        xbar, ybar = x.mean(), y.mean()
+        dx = x - xbar
         denom = float(np.sum(dx * dx))
         if denom == 0.0:
             raise DegenerateRegressionError("all x coordinates are equal")
-        slope = float(np.sum(dx * (y - y.mean())) / denom)
-        intercept = float(y.mean() - slope * x.mean())
+        slope = float(np.sum(dx * (y - ybar)) / denom)
+        intercept = float(ybar - slope * xbar)
     if not (math.isfinite(denom) and math.isfinite(slope) and math.isfinite(intercept)):
         raise DomainError("the regression sums overflow in floating point")
     return slope, intercept
 
 
-def _loglog_fit(values, x_of) -> Tuple[float, Optional[float], Tuple[int, ...], np.ndarray]:
-    """Regress log values[k-1] on ``x_of(k)`` over the strides k with a
+def _loglog_fit(values, x: np.ndarray) -> Tuple[float, Optional[float], Tuple[int, ...], np.ndarray]:
+    """Regress log values[k-1] on log x[k-1] over the strides k with a
     nonzero value.
 
     Returns (slope, intercept, index_set, points).  The zero test is exact:
     tiny nonzero values enter the fit, which is what makes the estimator
     perturbation-sensitive.  With one or zero usable strides the slope falls
-    back to 1 and the intercept is None.  DomainError names the first
-    stride whose value is negative or not finite.
+    back to 1 and the intercept is None.  DomainError unless the values are
+    1-D, naming the first stride whose value is negative or not finite.
     """
     vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1:
+        raise DomainError(f"need one value a stride, a 1-D array, got shape {vals.shape}")
     bad = np.flatnonzero(~((vals >= 0.0) & (vals < math.inf)))
     if bad.size:
         raise DomainError(f"the value at stride k={bad[0] + 1} is {float(vals[bad[0]])!r}: need a finite value >= 0")
     nonzero = np.flatnonzero(vals)
     index_set = tuple((nonzero + 1).tolist())
     # math.log, not np.log, which need not round as the C library does
-    points = np.column_stack((list(map(x_of, index_set)), list(map(math.log, vals[nonzero].tolist()))))
+    logs = map(math.log, np.concatenate((x[nonzero], vals[nonzero])).tolist())
+    xs, ys = np.array(list(logs)).reshape(2, -1)
+    points = np.column_stack((xs, ys))
     if len(index_set) <= 1:
         return 1.0, None, index_set, points
-    slope, intercept = regression_slope(points)
+    slope, intercept = _line(xs, ys)
     return slope, intercept, index_set, points
 
 
 def fit_lengths(lengths) -> Tuple[float, Optional[float], Tuple[int, ...], np.ndarray]:
     """Regress log L(k) on log(1/k) over the nonzero-length strides; see
     :func:`_loglog_fit` for the result and the fallback to slope 1."""
-    return _loglog_fit(lengths, lambda k: math.log(1.0 / k))
+    lengths = np.asarray(lengths, dtype=float)
+    return _loglog_fit(lengths, 1.0 / np.arange(1, lengths.size + 1))
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,12 @@ def perturbed_length_closed_form(n: int, kappa: int, eps: float) -> float:
     the first sample was bumped.
 
     The two divisions mirror the evaluation order of the length computation.
+    DomainError unless eps is finite.
     """
-    return normalization_constant(n, kappa, 1) * eps / kappa / kappa
+    c = normalization_constant(n, kappa, 1)
+    if not math.isfinite(eps):
+        raise DomainError(f"need a finite eps, got {eps!r}")
+    return c * eps / kappa / kappa
 
 
 class TraceRow(NamedTuple):

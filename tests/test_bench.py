@@ -24,13 +24,16 @@ def test_quick_run_writes_one_record_keyed_by_its_commits(tmp_path):
     ((key, record),) = runs.items()
     assert key == f"{record['commit']} vs {record['commit']}" == f"{record['commit']} vs {record['against_commit']}"
     ops = [row["op"] for row in record["results"]]
-    assert ops == ["hfd", "geometric_hfd", "divergence_trace", "stability_report", "sample",
-                   "box_dim_estimate", "total_variation_estimate", "write_csv", "read_csv", "hfd --detail"]
+    assert ops == ["hfd", "geometric_hfd", "divergence_trace", "stability_report", "sample", "box_dim_estimate",
+                   "box_dim_estimate", "total_variation_estimate", "_partition_sum", "write_csv", "read_csv",
+                   "hfd --detail"]
+    assert record["results"][6]["n_samples"] == 10**4
+    assert record["results"][8]["n"] == 131_073
     assert record["results"][-3]["n"] == record["results"][-2]["n"] == 100_000
     assert record["results"][-1]["n"] == 200
     for row in record["results"]:
         assert {"ratio_median", "ratio_q1", "ratio_q3", "won", "median_ms", "against_median_ms"} <= row.keys()
-    for row in record["results"][-6:]:
+    for row in record["results"][-8:]:
         assert {"peak_mb", "against_peak_mb"} <= row.keys()
 
 

@@ -44,13 +44,13 @@ SERIES = {
 
 # (series, argv after the input file)
 COMMANDS = {
-    "hfd-detail-noise-n101": ("noise-n101", ["hfd", "--kmax-rule", "half", "--detail"]),
-    "hfd-detail-wide-n64": ("wide-n64", ["hfd", "--kmax-rule", "half", "--detail"]),
-    "hfd-detail-alternating-n101": ("alternating-n101", ["hfd", "--kmax-rule", "half", "--detail"]),
-    "hfd-noise-n2046": ("noise-n2046", ["hfd", "--kmax-rule", "half"]),
-    "stability-periodic-n150": ("periodic-n150", ["stability", "--kmax-rule", "half", "--index", "7"]),
+    "hfd-detail-noise-n101": ("noise-n101", ["hfd", "--kmax", "half", "--detail"]),
+    "hfd-detail-wide-n64": ("wide-n64", ["hfd", "--kmax", "half", "--detail"]),
+    "hfd-detail-alternating-n101": ("alternating-n101", ["hfd", "--kmax", "half", "--detail"]),
+    "hfd-noise-n2046": ("noise-n2046", ["hfd", "--kmax", "half"]),
+    "stability-periodic-n150": ("periodic-n150", ["stability", "--kmax", "half", "--index", "7"]),
     "trace-alternating-n101": (
-        "alternating-n101", ["stability", "--kmax-rule", "half", "--eps-grid", "1e-4,1e-6,1e-8,1e-10,1e-12"]
+        "alternating-n101", ["stability", "--kmax", "half", "--eps-grid", "1e-4,1e-6,1e-8,1e-10,1e-12"]
     ),
     "trace-noise-n2046": ("noise-n2046", ["stability", "--kmax", "1023", "--index", "682", "--eps-grid", "1e-3,1e-9"]),
 }

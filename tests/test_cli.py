@@ -128,7 +128,7 @@ class TestHfd:
 
     def test_alternating_dimension_two(self, tmp_path):
         out = tmp_path / "r.json"
-        run_cli("hfd", "--signal", "alternating", "--n", "100", "--kmax-rule", "half", "--out", str(out))
+        run_cli("hfd", "--signal", "alternating", "--n", "100", "--kmax", "half", "--out", str(out))
         payload = json.loads(out.read_text())
         assert abs(payload["D"] - 2.0) < 1e-9
         assert payload["k_max"] == 50
@@ -181,14 +181,10 @@ class TestHfd:
         assert run_cli("hfd", "--signal", "constant", "--n", "10", "--input", str(series), "--kmax", "2") == 2
 
     def test_missing_kmax(self, capsys):
-        assert run_cli("hfd", "--signal", "constant", "--n", "10") == 2
-
-    def test_kmax_with_half_rule_conflict(self, tmp_path, capsys):
-        out = tmp_path / "r.json"
-        argv = ["hfd", "--signal", "affine", "--n", "10", "--kmax", "3", "--kmax-rule", "half"]
-        assert run_cli(*argv, "--out", str(out)) == 2
-        assert "--kmax or --kmax-rule half, not both" in capsys.readouterr().err
-        assert not out.exists()
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("hfd", "--signal", "constant", "--n", "10")
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --kmax" in capsys.readouterr().err
 
 
 class TestBoxdim:
@@ -264,7 +260,7 @@ class TestStability:
     def test_eps_grid_trace(self, tmp_path):
         out = tmp_path / "tr.csv"
         run_cli(
-            "stability", "--signal", "alternating", "--n", "100", "--kmax-rule", "half",
+            "stability", "--signal", "alternating", "--n", "100", "--kmax", "half",
             "--eps-grid", "1e-4,1e-8", "--format", "csv", "--out", str(out),
         )
         lines = out.read_text().splitlines()
@@ -287,13 +283,6 @@ class TestStability:
         payload = json.loads(out.read_text())
         assert abs(payload["perturbed"]["D"] - 3.5) <= 0.15
 
-    def test_kmax_with_half_rule_conflict(self, tmp_path, capsys):
-        out = tmp_path / "st.json"
-        argv = ["stability", "--signal", "alternating", "--n", "100", "--kmax", "50", "--kmax-rule", "half"]
-        assert run_cli(*argv, "--out", str(out)) == 2
-        assert "--kmax or --kmax-rule half, not both" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestSweep:
     def test_single_point_grid(self, tmp_path):
@@ -307,7 +296,7 @@ class TestSweep:
     def test_half_rule_sweep(self, tmp_path):
         out = tmp_path / "sw.json"
         run_cli(
-            "sweep", "--signal", "weierstrass", "--n-grid", "40,80", "--kmax-rule", "half",
+            "sweep", "--signal", "weierstrass", "--n-grid", "40,80", "--kmax", "half",
             "--format", "json", "--out", str(out),
         )
         payload = json.loads(out.read_text())
@@ -322,13 +311,6 @@ class TestSweep:
         assert run_cli("sweep", "--signal", "oscillation", *grid, "--kmax", "1") == 2
         assert f"error: need at most 50000000 samples, got n={10**18}" in capsys.readouterr().err
         assert sampled == []
-
-    def test_kmax_with_half_rule_conflict(self, tmp_path, capsys):
-        out = tmp_path / "sw.csv"
-        argv = ["sweep", "--signal", "oscillation", "--n-grid", "40,80", "--kmax", "2", "--kmax-rule", "half"]
-        assert run_cli(*argv, "--out", str(out)) == 2
-        assert "--kmax or --kmax-rule half, not both" in capsys.readouterr().err
-        assert not out.exists()
 
 
 def _gen_rows():
@@ -381,7 +363,7 @@ OUTPUT_CASES = {
     ),
     "sweep": (
         # the grid is sorted and its duplicates dropped
-        ["sweep", "--signal", "oscillation", "--n-grid", "80,40,80", "--kmax-rule", "half"],
+        ["sweep", "--signal", "oscillation", "--n-grid", "80,40,80", "--kmax", "half"],
         lambda: [(n, hfd(sample(Oscillation(20.0), n), n // 2).slope) for n in (40, 80)],
     ),
 }
@@ -506,6 +488,8 @@ def run_cli_process(*argv):
 NOT_TEXT = "<file holding the bytes ff fe>"
 UNDERSCORE_CSV = "<series CSV whose first row is 1,0,1_0>"
 
+W_2M = ["--signal", "weierstrass", "--n", "2000000"]
+
 # argv and a part of the message; the first five exited 2 only through a
 # catch-all ValueError clause before, the others too
 BAD_INPUTS = {
@@ -544,12 +528,13 @@ BAD_INPUTS = {
     "sweep_without_grid": (
         ["sweep", "--signal", "oscillation", "--kmax", "2"], "the following arguments are required: --n-grid"
     ),
+    "hfd_without_kmax": (["hfd", *W_2M], "the following arguments are required: --kmax"),
+    "hfd_input_without_kmax": (["hfd", "--input", "series.csv"], "the following arguments are required: --kmax"),
+    "stability_without_kmax": (["stability", *W_2M], "the following arguments are required: --kmax"),
     # float() reads 1_0 as 10, a CSV reader would not
     "csv_underscore_digits": (["hfd", "--input", UNDERSCORE_CSV, "--kmax", "1"], "not a plain decimal number"),
 }
 
-
-W_2M = ["--signal", "weierstrass", "--n", "2000000"]
 # built at import, outside any traced window: only the refusal is measured
 ZEROS_1M = TimeSeries(np.zeros(10**6))
 
@@ -568,16 +553,6 @@ REFUSED_BEFORE_READING = {
     "convergence_largest_n_beyond_eval_limit": (
         lambda: variation_convergence_check(Oscillation(20.0), 2, 1, [10, 10**9]),
         "need at most 50000000 samples, got n=1000000000",
-    ),
-    "hfd_without_kmax": (["hfd", *W_2M], "pass --kmax or use --kmax-rule half"),
-    "hfd_input_without_kmax": (["hfd", "--input", "series.csv"], "pass --kmax or use --kmax-rule half"),
-    "hfd_kmax_and_half_rule": (
-        ["hfd", *W_2M, "--kmax", "5", "--kmax-rule", "half"], "pass either --kmax or --kmax-rule half, not both"
-    ),
-    "stability_without_kmax": (["stability", *W_2M], "pass --kmax or use --kmax-rule half"),
-    "stability_kmax_and_half_rule": (
-        ["stability", *W_2M, "--kmax", "5", "--kmax-rule", "half"],
-        "pass either --kmax or --kmax-rule half, not both",
     ),
     "stability_report_as_csv": (
         ["stability", *W_2M, "--kmax", "5", "--format", "csv"], "the stability report has only a JSON form"
@@ -613,7 +588,7 @@ REFUSED_BEFORE_READING = {
     ),
     "stability_index_zero": (["stability", *W_2M, "--kmax", "5", "--index", "0"], "index j=0 outside 1..2000000"),
     "stability_index_beyond_n": (
-        ["stability", *W_2M, "--kmax-rule", "half", "--index", "2000001"], "index j=2000001 outside 1..2000000"
+        ["stability", *W_2M, "--kmax", "half", "--index", "2000001"], "index j=2000001 outside 1..2000000"
     ),
     "stability_kmax_before_index": (
         ["stability", *W_2M, "--kmax", "1000001", "--index", "0"],
@@ -677,7 +652,7 @@ REFUSED_BEFORE_READING = {
         lambda: stability_report(ZEROS_1M, 64, 1, math.inf), "the bumped value X(1) + inf is not finite"
     ),
     "sweep_grid_below_two_samples": (
-        ["sweep", "--signal", "oscillation", "--n-grid", "20000,1", "--kmax-rule", "half"],
+        ["sweep", "--signal", "oscillation", "--n-grid", "20000,1", "--kmax", "half"],
         "need at least 2 samples, got n=1",
     ),
     "hfd_detail_beyond_row_limit": (
@@ -746,6 +721,48 @@ class TestBadInput:
         with pytest.raises(DomainError, match="JSON cannot represent"):
             _write_output(_json_blocks({"n": 2}, "x", "%r", [np.array([1.0, math.inf])]), str(out))
         assert not out.exists()
+
+
+SERIES_CSV = "<series CSV of periodic at N = 101>"
+
+
+class TestKmaxHalf:
+    """--kmax takes an integer or ``half``, which stands for ceil(N/2) of
+    the series, or of each N of a sweep."""
+
+    @pytest.mark.parametrize("argv,k_max", [
+        pytest.param(["hfd", "--signal", "weierstrass", "--n", "101", "--detail"], 51, id="hfd_signal"),
+        pytest.param(["hfd", "--input", SERIES_CSV, "--format", "csv"], 51, id="hfd_input"),
+        pytest.param(["stability", "--signal", "alternating", "--n", "100"], 50, id="stability_report"),
+        pytest.param(["stability", "--input", SERIES_CSV, "--index", "7", "--eps-grid", "1e-4,1e-8"], 51,
+                     id="stability_trace"),
+        pytest.param(["sweep", "--signal", "weierstrass", "--n-grid", "81"], 41, id="sweep"),
+    ])
+    def test_half_writes_the_bytes_of_ceil_half_n(self, argv, k_max, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        assert run_cli("gen", "--signal", "periodic", "--n", "101", "--out", str(series)) == 0
+        argv = [str(series) if a == SERIES_CSV else a for a in argv]
+        assert run_cli(*argv, "--kmax", "half") == 0
+        half = capsys.readouterr().out
+        assert run_cli(*argv, "--kmax", str(k_max)) == 0
+        assert half == capsys.readouterr().out
+        assert half
+
+    @pytest.mark.parametrize("kmax", [["--kmax", "1.5"], ["--kmax", "HALF"], ["--kmax-rule", "half"]], ids=" ".join)
+    @pytest.mark.parametrize("command", ["hfd", "stability", "sweep"])
+    def test_anything_else_exits_2_before_sampling(self, command, kmax, monkeypatch, capsys):
+        sampled = []
+        monkeypatch.setattr("fracdim.cli.sample", lambda spec, n: sampled.append(n))
+        source = ["--signal", "weierstrass", "--n-grid", "2000000"] if command == "sweep" else W_2M
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, *source, *kmax)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        if kmax[0] == "--kmax":
+            assert f"argument --kmax: expected an integer or 'half', got '{kmax[1]}'" in err
+        else:
+            assert "the following arguments are required: --kmax" in err
+        assert sampled == []
 
 
 class TestLargeOutputMemory:

@@ -202,6 +202,17 @@ class TestBoxDimEstimate:
         )
         assert abs(result.dim_estimate - 1.0) <= 0.05
 
+    def test_grid_defined_spline_built_once(self, monkeypatch):
+        # the finest mesh's spline, and one for the coarser meshes
+        spec, n_samples = Alternating(0.4, 0.6), 10**4
+        counts = [box_count(spec, float(d), n_samples=n_samples) for d in np.geomspace(1e-3, 1e-1, 12)]
+        builds = []
+        sample_values = Alternating.sample_values
+        monkeypatch.setattr(Alternating, "sample_values", lambda self, n: builds.append(n) or sample_values(self, n))
+        result = box_dim_estimate(spec, n_samples=n_samples)
+        assert builds == [n_samples, n_samples]
+        assert result.counts.tolist() == counts
+
     def test_areas_follow_counts(self):
         result = box_dim_estimate(Affine(1.0, 0.0), delta_min=0.01, delta_max=0.1, levels=4)
         assert np.array_equal(result.areas, result.deltas**2 * result.counts)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from fracdim import (
     variation_sum,
 )
 from fracdim.cli import main
+from fracdim.higuchi import _partition_sum
+from fracdim.series import _BLOCK_POINTS
 from fracdim.errors import (
     AdmissibilityError,
     DegenerateRegressionError,
@@ -173,6 +176,28 @@ class TestVariationSum:
         with pytest.raises(DomainError, match="the variation sum is inf"):
             variation_sum(TimeSeries([1.7e308, -1.7e308, 1.7e308, 0.0]), 1, 1)
 
+    @pytest.mark.parametrize("steps", [_BLOCK_POINTS - 1, _BLOCK_POINTS, _BLOCK_POINTS + 1, 2 * _BLOCK_POINTS + 1])
+    def test_blocks_add_as_one_running_sum(self, steps):
+        values = np.random.default_rng(steps).standard_normal(steps + 1) * 1e3
+        assert _partition_sum(values) == np.add.accumulate(np.abs(np.diff(values)))[-1]
+
+    def test_overflow_in_a_later_block_refused(self):
+        values = np.zeros(3 * _BLOCK_POINTS)
+        values[2 * _BLOCK_POINTS + 5 :: 2] = 1.7e308
+        with pytest.raises(DomainError, match="the variation sum is inf"):
+            _partition_sum(values)
+
+    def test_memory_stays_at_a_block(self):
+        # a difference array and a running sum as long as the input peak at 16.8 MB
+        values = np.random.default_rng(5).standard_normal(2**20 + 1)
+        tracemalloc.start()
+        try:
+            _partition_sum(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+
 
 class TestCurveLengths:
     def test_affine_inverse_k(self):
@@ -269,6 +294,11 @@ class TestFitLengths:
     def test_empty_falls_back_to_one(self):
         slope, intercept, index_set, _ = fit_lengths([0.0, 0.0])
         assert slope == 1.0 and intercept is None and index_set == ()
+
+    @pytest.mark.parametrize("lengths", [np.ones((3, 3)), 1.0, [[1.0, 0.5]]])
+    def test_values_that_are_not_1d_rejected(self, lengths):
+        with pytest.raises(DomainError, match=r"^need one value a stride, a 1-D array, got shape "):
+            fit_lengths(lengths)
 
 
 class TestHfd:

@@ -128,6 +128,11 @@ class TestResurrectedStrideLaw:
     def test_zero_bump_predicts_zero(self):
         assert perturbed_length_closed_form(100, 2, 0.0) == 0.0
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bump_rejected(self, eps):
+        with pytest.raises(DomainError, match=r"^need a finite eps, got "):
+            perturbed_length_closed_form(10, 2, eps)
+
 
 # claim 7's series (N = 150, k_max = 30) and claim 8's (N = 100, k_max = 50)
 LAW_CASES = {"periodic": 30, "alternating": 50}
